@@ -10,6 +10,13 @@ pip install -e . 2>/dev/null || python setup.py develop
 echo "== unit / property / integration tests =="
 python -m pytest tests/ 2>&1 | tee test_output.txt
 
+echo "== hostbench job (own tests + multicore pinned-digest check) =="
+# The scale_mt workload checks every multicore simulation it runs
+# against hostbench/digests.json and exits non-zero on any mismatch, so
+# multicore byte-identity is gated here, not only by figure reruns.
+python3 -m pytest hostbench -q
+python3 hostbench/run.py --workload scale_mt --seed 0 --seconds 1 --trace 0
+
 echo "== strict deprecation job (shimmed warnings allowlisted) =="
 # Internal code must be off the pre-1.1 API: any stock DeprecationWarning
 # is an error, while the repo's own shim warnings (exercised on purpose

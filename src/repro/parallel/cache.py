@@ -92,7 +92,11 @@ def trace_fingerprint(trace: Trace) -> str:
 
 def sim_key(traces, hw, batch_ops: int = 1,
             fastforward: bool = False) -> str:
-    """Cache key for ``simulate(traces, hw, batch_ops, fastforward)``.
+    """Cache key for ``simulate(traces, hw, fastforward=fastforward)``.
+
+    ``batch_ops`` is always 1: the scheduler no longer has that knob,
+    but the field stays in the key so that existing keys (and disk-cache
+    entries) remain valid.
 
     Fast-forwarded results are byte-identical to interpreted ones, but
     the flag is keyed anyway: the cache must never be the mechanism
@@ -195,13 +199,11 @@ class SimCache:
     def __init__(self, store: ContentCache):
         self.store = store
 
-    def simulate(self, traces, hw, batch_ops: int = 1,
-                 fastforward: bool = False):
-        key = sim_key(traces, hw, batch_ops, fastforward)
+    def simulate(self, traces, hw, fastforward: bool = False):
+        key = sim_key(traces, hw, fastforward=fastforward)
         res = self.store.get(key)
         if res is None:
-            res = _simulate_raw(traces, hw, batch_ops=batch_ops,
-                                fastforward=fastforward)
+            res = _simulate_raw(traces, hw, fastforward=fastforward)
             self.store.put(key, res)
         return res
 

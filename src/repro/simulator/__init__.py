@@ -29,7 +29,7 @@ from repro.simulator.cache import CoreCache
 from repro.simulator.streamprefetcher import StreamPrefetcher
 from repro.simulator.readbuffer import PMReadBuffer
 from repro.simulator.memory import DRAMBackend, PMBackend
-from repro.simulator.engine import ThreadContext, run_single
+from repro.simulator.engine import ThreadContext
 from repro.simulator.fastforward import run_fastforward
 from repro.simulator.multicore import SimResult
 from repro.simulator.api import simulate
@@ -50,7 +50,6 @@ __all__ = [
     "DRAMBackend",
     "PMBackend",
     "ThreadContext",
-    "run_single",
     "run_fastforward",
     "simulate",
     "SimResult",

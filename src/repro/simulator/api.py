@@ -1,9 +1,9 @@
 """The unified simulation entry point: :func:`simulate`.
 
-Pre-1.2 there were three overlapping ways to run a trace —
-``engine.run_single`` (single thread, private backends), the multicore
-runner in :mod:`repro.simulator.multicore`, and per-library ad-hoc
-loops. This facade subsumes all of them:
+Pre-1.2 there were three overlapping ways to run a trace — a
+single-thread helper on private backends, the multicore runner in
+:mod:`repro.simulator.multicore`, and per-library ad-hoc loops. This
+facade subsumes all of them:
 
 * ``simulate(trace, hw)`` — one trace, one thread;
 * ``simulate([t0, t1], hw)`` — one trace per thread over shared memory;
@@ -38,7 +38,6 @@ _SIM_CACHE = None
 def simulate(trace, hardware: HardwareConfig | None = None, *,
              threads: int | None = None,
              tracer=None,
-             batch_ops: int = 1,
              contexts=None,
              drain: bool = True,
              fastforward: bool | None = None) -> SimResult:
@@ -61,11 +60,6 @@ def simulate(trace, hardware: HardwareConfig | None = None, *,
     tracer:
         Optional :class:`repro.obs.Tracer` installed for the duration
         of this call (otherwise the ambient tracer applies).
-    batch_ops:
-        Ops per scheduling turn for multi-thread interleaving; the
-        default of 1 keeps global time monotonic (see
-        :mod:`repro.simulator.multicore`). Single-thread runs take the
-        engine's inlined fast path regardless.
     contexts:
         Pre-built :class:`~repro.simulator.engine.ThreadContext` list —
         advanced use: the DIALGA coordinator re-enters the simulator
@@ -113,19 +107,14 @@ def simulate(trace, hardware: HardwareConfig | None = None, *,
 
     if tracer is not None:
         with use_tracer(tracer):
-            return _dispatch(traces, hardware, batch_ops, contexts, drain,
-                             fastforward)
-    return _dispatch(traces, hardware, batch_ops, contexts, drain,
-                     fastforward)
+            return _dispatch(traces, hardware, contexts, drain, fastforward)
+    return _dispatch(traces, hardware, contexts, drain, fastforward)
 
 
-def _dispatch(traces, hardware, batch_ops, contexts, drain,
-              fastforward) -> SimResult:
+def _dispatch(traces, hardware, contexts, drain, fastforward) -> SimResult:
     cache = _SIM_CACHE
     if (cache is not None and contexts is None and drain
             and not get_tracer().enabled):
-        return cache.simulate(traces, hardware, batch_ops,
-                              fastforward=fastforward)
-    return _simulate_raw(traces, hardware, batch_ops=batch_ops,
-                         contexts=contexts, drain=drain,
+        return cache.simulate(traces, hardware, fastforward=fastforward)
+    return _simulate_raw(traces, hardware, contexts=contexts, drain=drain,
                          fastforward=fastforward)

@@ -1,4 +1,4 @@
-"""Single-thread trace execution with cycle/ns accounting.
+"""Trace execution with cycle/ns accounting: the simulator's interpreter.
 
 The core model is in-order with bounded memory-level parallelism:
 demand misses cost ``latency / mlp`` (the OOO window overlaps a few
@@ -10,21 +10,23 @@ pays only the residual wait (or nothing, if it already arrived). This
 is exactly the latency-hiding mechanism whose failure modes the paper
 studies.
 
-Two execution paths share the same arithmetic:
-
-* :meth:`ThreadContext.step` — the generic batched stepper the
-  multicore scheduler interleaves;
-* :meth:`ThreadContext.run` — the single-thread fast path, the same
-  per-op operations inlined into one loop with hot state in locals.
-  Results are bit-identical by construction (same floating-point
-  operations in the same order), which the determinism tests assert.
+:meth:`ThreadContext.run` is the one interpreter. The per-op semantics
+of the cache (:class:`~repro.simulator.cache.CoreCache`), the streamer
+(:class:`~repro.simulator.streamprefetcher.StreamPrefetcher`) and the
+PM/DRAM backends (``fill_line``/``write_line``) are inlined into one
+loop with hot state in locals. Single-thread runs call it once; the
+multicore scheduler (:mod:`repro.simulator.multicore`) calls it once
+per scheduling turn with a clock ``limit``; the fast-forward layer
+calls it period by period with an op bound ``until``.
 """
 
 from __future__ import annotations
 
+import math
+
 from repro.simulator.cache import CoreCache, DEMAND, HWPF, SWPF as SWPF_SRC, _Line
 from repro.simulator.counters import Counters
-from repro.simulator.memory import DRAMBackend, PMBackend
+from repro.simulator.memory import PMBackend
 from repro.simulator.params import HardwareConfig
 from repro.simulator.streamprefetcher import StreamPrefetcher, _Stream
 from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace
@@ -58,134 +60,34 @@ class ThreadContext:
         self._store_issue_ns = hw.cpu.store_issue_cycles * self._ns_per_cycle
         self._swpf_issue_ns = hw.cpu.swpf_issue_cycles * self._ns_per_cycle
         self._wpq_ns = hw.cpu.wpq_backpressure_ns
-        #: Software prefetches also train the hardware prefetcher
-        #: (their "training effect", §5.9).
-        self.swpf_trains_hwpf = True
 
     @property
     def done(self) -> bool:
         """True when the whole trace has executed."""
         return self.pc >= len(self.trace.opcodes)
 
-    # -- internals -------------------------------------------------------
-
-    def _issue_hw_prefetches(self, addr: int) -> None:
-        for target in self.prefetcher.on_access(addr):
-            qd, lat, dlat = self.load_backend.fill_line(
-                target, self.clock, demand=False)
-            self.cache.insert(target, self.clock + qd + lat, HWPF,
-                              promo_ns=dlat / self.load_backend.mlp)
-
-    def _do_load(self, addr: int) -> None:
-        c = self.counters
-        c.loads += 1
-        c.app_read_bytes += 64
-        now = self.clock + self._load_issue_ns
-        line = addr & ~63
-        ent = self.cache.lookup(line)
-        if ent is not None:
-            ent.used = True
-            if ent.arrival_ns <= now:
-                c.load_cache_hits += 1
-                if ent.source == HWPF:
-                    c.hwpf_useful += 1
-                now += self._hit_ns
-            else:
-                # In-flight prefetch: the demand promotes the request to
-                # demand priority, so the wait is the smaller of the
-                # prefetch's remaining time and what the same fill would
-                # have cost at demand priority.
-                wait = min(ent.arrival_ns - now, ent.promo_ns)
-                c.load_late_prefetch += 1
-                c.load_stall_ns += wait
-                if ent.source == SWPF_SRC:
-                    c.swpf_late += 1
-                elif ent.source == HWPF:
-                    # Late hardware prefetch: mostly wasted (0xf2-ish).
-                    c.hwpf_useless += 1
-                now += wait + self._hit_ns
-        else:
-            qd, lat, _ = self.load_backend.fill_line(line, now, demand=True)
-            stall = qd + lat / self.load_backend.mlp
-            c.load_misses += 1
-            c.load_stall_ns += stall
-            now += stall + self._hit_ns
-            self.cache.insert(line, now, DEMAND, used=True)
-        self.clock = now
-        # The demand access trains the streamer *after* being served.
-        self._issue_hw_prefetches(line)
-
-    def _do_store(self, addr: int) -> None:
-        self.counters.stores += 1
-        now = self.clock + self._store_issue_ns
-        qd = self.store_backend.write_line(addr & ~63, now)
-        # Non-temporal stores are posted; only severe backpressure
-        # (write-pipe backlog beyond the configured WPQ allowance)
-        # stalls the core.
-        backlog = self.store_backend.write_pipe.free_at - now
-        if backlog > self._wpq_ns:
-            stall = backlog - self._wpq_ns
-            self.counters.store_stall_ns += stall
-            now += stall
-        self.clock = now
-
-    def _do_swpf(self, addr: int) -> None:
-        c = self.counters
-        c.swpf_issued += 1
-        now = self.clock + self._swpf_issue_ns
-        line = addr & ~63
-        if self.cache.lookup(line) is None:
-            qd, lat, dlat = self.load_backend.fill_line(line, now, demand=False)
-            self.cache.insert(line, now + qd + lat, SWPF_SRC,
-                              promo_ns=dlat / self.load_backend.mlp)
-        self.clock = now
-        if self.swpf_trains_hwpf:
-            self._issue_hw_prefetches(line)
-
-    # -- public stepping --------------------------------------------------
-
-    def step(self, max_ops: int) -> int:
-        """Execute up to ``max_ops`` ops; returns how many ran."""
-        opcodes = self.trace.opcodes
-        args = self.trace.args
-        n = min(max_ops, len(opcodes) - self.pc)
-        counters = self.counters
-        for i in range(self.pc, self.pc + n):
-            op = opcodes[i]
-            if op == LOAD:
-                self._do_load(int(args[i]))
-            elif op == COMPUTE:
-                ns = args[i] * self._ns_per_cycle * self._simd_factor
-                counters.compute_ns += ns
-                self.clock += ns
-            elif op == STORE:
-                self._do_store(int(args[i]))
-            elif op == SWPF:
-                self._do_swpf(int(args[i]))
-            elif op == FENCE:
-                self.clock = self.store_backend.drain_writes(self.clock)
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown opcode {op}")
-        self.pc += n
-        return n
-
-    def run(self, until: int | None = None) -> float:
+    def run(self, until: int | None = None,
+            limit: float = math.inf) -> float:
         """Execute the trace (to ``until``, if given); returns the clock.
 
-        Fast path: the per-op arithmetic of :meth:`step` *and* of the
-        memory-model callees (backend fills, read buffer, streamer
-        training, cache insertion) inlined into one loop with all hot
-        state — counters included — in locals, one Python frame for the
-        whole trace instead of five per op. Bit-identical to stepping
-        by construction: the same floating-point operations in the same
-        order, which the determinism tests assert. Falls back to
-        :meth:`step` when the backends are not the stock PM/DRAM models
-        (the inlining hard-codes their arithmetic).
+        The per-op semantics of the memory model (backend fills, read
+        buffer, streamer training, cache insertion) are inlined into
+        one loop with all hot state — counters included — in locals:
+        one Python frame for the whole trace instead of five per op.
+        The arithmetic hard-codes the stock PM/DRAM backends;
+        ``tests/reference_interpreter.py`` spells the same semantics
+        out through the model methods and pins this loop to them, bit
+        for bit.
 
-        ``until`` is an absolute op index bound (clamped to the trace
-        length): the fast-forward layer interprets period-by-period by
-        chunking through here, which composes bit-identically with one
-        full run because all hot state is written back at every return.
+        Two stop bounds, both composing bit-identically with one full
+        run because all hot state is written back at every return:
+
+        * ``until`` is an absolute op index bound (clamped to the trace
+          length): the fast-forward layer interprets period by period
+          through it;
+        * ``limit`` is a clock bound: an op is started only while the
+          clock is ``<= limit``. The multicore scheduler sets it to the
+          point where another thread becomes the earliest.
         """
         n = len(self.trace.opcodes)
         end = n if until is None else min(until, n)
@@ -193,10 +95,6 @@ class ThreadContext:
             return self.clock
         load_backend = self.load_backend
         store_backend = self.store_backend
-        if (type(load_backend) not in (PMBackend, DRAMBackend)
-                or type(store_backend) not in (PMBackend, DRAMBackend)):
-            self.step(end - self.pc)
-            return self.clock
         opcodes = self.trace.opcodes
         args = self.trace.args
         i = self.pc
@@ -215,7 +113,6 @@ class ThreadContext:
         store_issue_ns = self._store_issue_ns
         swpf_issue_ns = self._swpf_issue_ns
         wpq_ns = self._wpq_ns
-        swpf_trains = self.swpf_trains_hwpf
 
         # Streamer (per-core) hot state.
         pf = self.prefetcher
@@ -297,7 +194,7 @@ class ThreadContext:
 
         clock = self.clock
         try:
-            while i < end:
+            while i < end and clock <= limit:
                 op = opcodes[i]
                 arg = args[i]
                 i += 1
@@ -316,6 +213,9 @@ class ThreadContext:
                                 c_hwpf_useful += 1
                             now += hit_ns
                         else:
+                            # In-flight prefetch: the demand promotes it,
+                            # so the wait is the smaller of its remaining
+                            # time and a demand-priority fill's cost.
                             wait = min(ent.arrival_ns - now, ent.promo_ns)
                             c_load_late_prefetch += 1
                             c_load_stall_ns += wait
@@ -390,6 +290,8 @@ class ThreadContext:
                         start = now
                     free_at = start + write_step
                     write_pipe.free_at = free_at
+                    # Non-temporal stores are posted: only write-pipe
+                    # backlog beyond the WPQ allowance stalls the core.
                     backlog = free_at - now
                     if backlog > wpq_ns:
                         stall = backlog - wpq_ns
@@ -452,7 +354,9 @@ class ThreadContext:
                     else:
                         cache_mte(line)
                     clock = now
-                    if not (swpf_trains and pf_enabled):
+                    # Software prefetches train the streamer too: their
+                    # "training effect" (§5.9).
+                    if not pf_enabled:
                         continue
                 elif op == FENCE:
                     free_at = write_pipe.free_at
@@ -464,9 +368,8 @@ class ThreadContext:
                     raise ValueError(f"unknown opcode {op}")
 
                 # Streamer training + hardware-prefetch issue (inlined
-                # ``StreamPrefetcher.on_access``); reached after LOAD,
-                # and after SWPF when software prefetches train the
-                # streamer.
+                # ``StreamPrefetcher.on_access``); reached after a LOAD
+                # has been served and after every SWPF.
                 page = line // pf_page_bytes
                 pline = (line % pf_page_bytes) // 64
                 stream = table_get(page)
@@ -592,24 +495,3 @@ class ThreadContext:
             c.buffer_evictions_unused = c_buffer_evictions_unused
         return clock
 
-
-def run_single(trace: Trace, hw: HardwareConfig) -> tuple[float, Counters]:
-    """Deprecated: execute one trace on a fresh private testbed.
-
-    Pre-1.2 spelling of single-thread simulation; returns
-    ``(finish_time_ns, counters)``. Use :func:`repro.simulate` —
-    ``simulate(trace, hw)`` returns a :class:`~repro.simulator.
-    multicore.SimResult` carrying the same finish time and counters.
-    """
-    from repro._deprecation import warn_deprecated
-    warn_deprecated(
-        "run_single(trace, hw) is deprecated; use repro.simulate(trace, "
-        "hardware) and read .makespan_ns / .counters off the result")
-    res = _run_single(trace, hw)
-    return res.makespan_ns, res.counters
-
-
-def _run_single(trace: Trace, hw: HardwareConfig):
-    """Single-trace simulation on private backends (facade internal)."""
-    from repro.simulator.multicore import simulate as _simulate
-    return _simulate([trace], hw)

@@ -2,16 +2,21 @@
 
 Threads run on private cores (own cache + streamer) but share the
 memory backends — bandwidth pipes and, crucially, the PM read buffer.
-The scheduler always advances the thread with the smallest local clock
-(a conservative event ordering), stepping a small op batch at a time so
-cross-thread interactions through the shared state happen in near-
-causal order. This is where Obs. 5's read-buffer thrashing and the
-scalability plateaus of Fig. 7/13 come from.
+The scheduler always advances the thread with the smallest
+``(clock, index)`` (a conservative event ordering), so cross-thread
+interactions through the shared state happen in causal order. Each
+turn is one call of the engine's interpreter, :meth:`ThreadContext.run
+<repro.simulator.engine.ThreadContext.run>`, bounded by the clock at
+which another thread becomes the earliest: the thread runs exactly the
+ops an op-at-a-time scheduler would have given it before switching.
+This is where Obs. 5's read-buffer thrashing and the scalability
+plateaus of Fig. 7/13 come from.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from repro.obs import get_tracer
@@ -77,7 +82,6 @@ def make_backends(hw: HardwareConfig, counters: Counters):
 
 
 def simulate(traces: list[Trace], hw: HardwareConfig,
-             batch_ops: int = 1,
              contexts: list[ThreadContext] | None = None,
              drain: bool = True,
              fastforward: bool = False) -> SimResult:
@@ -89,12 +93,6 @@ def simulate(traces: list[Trace], hw: HardwareConfig,
         One op trace per thread.
     hw:
         Testbed description.
-    batch_ops:
-        Ops executed per scheduling turn. The default of 1 keeps global
-        time monotonic across threads, which the busy-until bandwidth
-        pipes require (a thread running ahead would otherwise charge
-        phantom queue delays to threads behind it). Raise only for
-        single-thread runs.
     contexts:
         Pre-built thread contexts (advanced use: the DIALGA coordinator
         re-enters the simulator with live contexts between chunks).
@@ -122,13 +120,13 @@ def simulate(traces: list[Trace], hw: HardwareConfig,
         counters = contexts[0].counters
     tracer = get_tracer()
     if not tracer.enabled:
-        return _run(contexts, counters, batch_ops, drain, fastforward)
+        return _run(contexts, counters, drain, fastforward)
     t0 = min(ctx.clock for ctx in contexts)
     before = counters.snapshot()
     with tracer.sequenced(t0):
         span = tracer.begin("sim.run", t0, threads=len(contexts),
                             drain=drain)
-        result = _run(contexts, counters, batch_ops, drain, fastforward)
+        result = _run(contexts, counters, drain, fastforward)
         tracer.end(span, result.makespan_ns,
                    data_bytes=result.data_bytes,
                    **counters.delta(before).nonzero_dict("d_"))
@@ -136,8 +134,7 @@ def simulate(traces: list[Trace], hw: HardwareConfig,
 
 
 def _run(contexts: list[ThreadContext], counters: Counters,
-         batch_ops: int, drain: bool,
-         fastforward: bool = False) -> SimResult:
+         drain: bool, fastforward: bool = False) -> SimResult:
     """The scheduling loop proper (tracing handled by the caller)."""
     ff_stats = None
     heap: list[tuple[float, int]] = [
@@ -145,8 +142,7 @@ def _run(contexts: list[ThreadContext], counters: Counters,
     ]
     if len(heap) == 1:
         # One live thread: no cross-thread interleaving to arbitrate,
-        # so take the engine's inlined fast path (bit-identical to
-        # stepping — same operations, same order), optionally skipping
+        # so run the trace out in one call, optionally skipping
         # steady-state stripe periods by exact extrapolation.
         if fastforward:
             from repro.simulator.fastforward import run_fastforward
@@ -155,10 +151,19 @@ def _run(contexts: list[ThreadContext], counters: Counters,
             contexts[heap[0][1]].run()
         heap = []
     heapq.heapify(heap)
+    # Global time must stay monotonic across threads: a thread running
+    # ahead would charge phantom queue delays on the busy-until
+    # bandwidth pipes to the threads behind it. So a turn lasts while
+    # the thread is still the heap minimum: clock <= the next clock
+    # when it wins the index tie-break, strictly below it otherwise.
     while heap:
         _, idx = heapq.heappop(heap)
         ctx = contexts[idx]
-        ctx.step(batch_ops)
+        if heap:
+            oc, oi = heap[0]
+            ctx.run(limit=oc if idx < oi else math.nextafter(oc, -math.inf))
+        else:
+            ctx.run()
         if not ctx.done:
             heapq.heappush(heap, (ctx.clock, idx))
     if drain:

@@ -13,6 +13,10 @@ under test must never append to the repo's committed
 import pytest
 from hypothesis import HealthCheck, settings
 
+# The oracle's equality helper lives outside a test module; rewrite its
+# asserts so a mismatch reports both values.
+pytest.register_assert_rewrite("tests.reference_interpreter")
+
 
 @pytest.fixture(autouse=True)
 def _isolated_bench_history(tmp_path, monkeypatch):

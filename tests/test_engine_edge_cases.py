@@ -4,7 +4,7 @@ import pytest
 
 from repro.simulator import (
     Counters, DRAMBackend, HardwareConfig, PMBackend, ThreadContext,
-    run_single, simulate,
+    simulate,
 )
 from repro.simulator.multicore import make_backends
 from repro.trace.ops import COMPUTE, FENCE, LOAD, STORE, SWPF, Trace, op_name
@@ -29,25 +29,27 @@ def test_store_backpressure_stalls():
     """A burst of NT stores beyond the WPQ horizon must stall the core."""
     hw = HW.with_pm(write_bw_gbps=0.05)  # pathologically slow writes
     ops = [(STORE, i * 64) for i in range(64)]
-    finish, c = run_single(Trace(ops=ops), hw)
+    res = simulate(Trace(ops=ops), hw)
+    finish, c = res.makespan_ns, res.counters
     assert c.store_stall_ns > 0
     assert finish > 64 * 64 / 0.05 * 0.5  # at least half the occupancy
 
 
 def test_fence_on_dram_target():
     hw = HW.with_(store_target="dram")
-    finish, c = run_single(Trace(ops=[(STORE, 0), (FENCE, 0)]), hw)
+    res = simulate(Trace(ops=[(STORE, 0), (FENCE, 0)]), hw)
+    finish, c = res.makespan_ns, res.counters
     assert finish >= 64 / hw.dram.write_bw_gbps
 
 
 def test_fence_noop_without_stores():
-    finish, _ = run_single(Trace(ops=[(FENCE, 0)]), HW)
+    finish = simulate(Trace(ops=[(FENCE, 0)]), HW).makespan_ns
     assert finish == 0.0
 
 
 def test_swpf_to_cached_line_is_cheap():
     t = Trace(ops=[(LOAD, 0), (SWPF, 0)])
-    _, c = run_single(t, HW)
+    c = simulate(t, HW).counters
     # one media fill only: the prefetch found the line resident
     assert c.media_read_bytes == 256
 
@@ -114,8 +116,10 @@ def test_backends_shared_iff_same_kind():
 
 def test_compute_scales_inversely_with_frequency():
     t = Trace(ops=[(COMPUTE, 1000.0)])
-    slow, _ = run_single(Trace(ops=list(t.ops)), HW.with_cpu(freq_ghz=1.0))
-    fast, _ = run_single(Trace(ops=list(t.ops)), HW.with_cpu(freq_ghz=2.0))
+    slow = simulate(Trace(ops=list(t.ops)),
+                    HW.with_cpu(freq_ghz=1.0)).makespan_ns
+    fast = simulate(Trace(ops=list(t.ops)),
+                    HW.with_cpu(freq_ghz=2.0)).makespan_ns
     assert slow == pytest.approx(2 * fast)
 
 
@@ -151,7 +155,7 @@ def test_promoted_late_prefetch_never_worse_than_cold_miss():
     for a in addrs:
         pf_ops += [(SWPF, a), (LOAD, a)]
     hw = HW.with_prefetcher(enabled=False)
-    cold, _ = run_single(Trace(ops=cold_ops), hw)
-    pf, _ = run_single(Trace(ops=pf_ops), hw)
+    cold = simulate(Trace(ops=cold_ops), hw).makespan_ns
+    pf = simulate(Trace(ops=pf_ops), hw).makespan_ns
     issue_overhead = 32 * HW.cpu.swpf_issue_cycles / HW.cpu.freq_ghz
     assert pf <= cold + issue_overhead + 1.0

@@ -18,8 +18,7 @@ from repro.obs import (
 from repro.service import ErasureCodingService, ServiceConfig, put_wave
 from repro.service.metrics import LatencyHistogram
 from repro.service.request import Request
-from repro.simulator import HardwareConfig
-from repro.simulator.engine import run_single
+from repro.simulator import HardwareConfig, simulate
 from repro.simulator.profiler import perf_report
 from repro.trace import Workload
 
@@ -83,14 +82,14 @@ class TestTimelineUnification:
         first, second = tracer.find_spans("sim.run")
         assert second.start_ns >= first.end_ns
 
-    def test_run_single_traces_when_enabled(self):
+    def test_single_thread_simulate_traces_when_enabled(self):
         tracer = Tracer()
         hw = HardwareConfig()
         trace = ISAL(4, 2).trace(
             Workload(k=4, m=2, block_bytes=1024, nthreads=1,
                      data_bytes_per_thread=8 * 1024), hw, 0)
         with use_tracer(tracer):
-            run_single(trace, hw)
+            simulate(trace, hw)
         (span,) = tracer.find_spans("sim.run")
         assert span.attrs["threads"] == 1
         assert span.attrs["d_loads"] > 0   # counter delta attached

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import HillClimber, eq1_max_distance, static_shuffle_mapping
 from repro.core.operator import verify_shuffle_defeats_streamer
-from repro.simulator import Counters, HardwareConfig, PMReadBuffer, StreamPrefetcher, run_single
+from repro.simulator import (
+    Counters, HardwareConfig, PMReadBuffer, StreamPrefetcher, simulate,
+)
 from repro.simulator.params import PMConfig, PrefetcherConfig
 from repro.trace.layout import StripeLayout
 from repro.trace.ops import LOAD, COMPUTE, Trace
@@ -53,7 +55,8 @@ def test_engine_clock_monotonic_and_counters_consistent(ops_spec):
             ops.append((LOAD, v * 64))
         else:
             ops.append((COMPUTE, float(v)))
-    finish, c = run_single(Trace(ops=ops), HW)
+    res = simulate(Trace(ops=ops), HW)
+    finish, c = res.makespan_ns, res.counters
     assert finish >= 0
     nloads = sum(1 for op, _ in ops if op == LOAD)
     assert c.loads == nloads

@@ -7,10 +7,11 @@ from repro.simulator import (
     DRAMBackend,
     HardwareConfig,
     PMBackend,
-    run_single,
     simulate,
 )
 from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace
+
+from tests.reference_interpreter import assert_identical, reference_simulate
 
 HW = HardwareConfig()
 
@@ -63,7 +64,8 @@ def test_pm_write_and_drain():
 
 def test_cold_load_pays_memory_latency():
     t = _trace([(LOAD, 0)])
-    finish, c = run_single(t, HW)
+    res = simulate(t, HW)
+    finish, c = res.makespan_ns, res.counters
     assert c.loads == 1 and c.load_misses == 1
     # latency/mlp is charged as stall
     assert c.load_stall_ns == pytest.approx(HW.pm.media_latency_ns / HW.pm.mlp)
@@ -71,28 +73,29 @@ def test_cold_load_pays_memory_latency():
 
 def test_buffer_hit_second_line():
     t = _trace([(LOAD, 0), (LOAD, 64)])
-    _, c = run_single(t, HW)
+    c = simulate(t, HW).counters
     assert c.buffer_hits == 1
     assert c.media_read_bytes == 256  # one XPLine for both lines
 
 
 def test_repeat_load_hits_cache():
     t = _trace([(LOAD, 0), (LOAD, 0)])
-    _, c = run_single(t, HW)
+    c = simulate(t, HW).counters
     assert c.load_cache_hits == 1
     assert c.load_misses == 1
 
 
 def test_compute_advances_clock():
     t = _trace([(COMPUTE, 330.0)])  # 330 cycles @3.3GHz = 100ns
-    finish, c = run_single(t, HW)
+    res = simulate(t, HW)
+    finish, c = res.makespan_ns, res.counters
     assert finish == pytest.approx(100.0)
     assert c.compute_ns == pytest.approx(100.0)
 
 
 def test_avx256_doubles_compute():
     t = _trace([(COMPUTE, 330.0)])
-    finish, _ = run_single(t, HW.with_cpu(simd="avx256"))
+    finish = simulate(t, HW.with_cpu(simd="avx256")).makespan_ns
     assert finish == pytest.approx(200.0)
 
 
@@ -102,7 +105,7 @@ def test_swpf_hides_latency_with_enough_lead():
     lead_cycles = (HW.pm.media_latency_ns * HW.pm.prefetch_latency_factor
                    + 100) * HW.cpu.freq_ghz
     t = _trace([(SWPF, 0), (COMPUTE, lead_cycles), (LOAD, 0)])
-    _, c = run_single(t, HW)
+    c = simulate(t, HW).counters
     assert c.load_cache_hits == 1
     assert c.swpf_issued == 1
     assert c.load_stall_ns == 0.0
@@ -111,7 +114,7 @@ def test_swpf_hides_latency_with_enough_lead():
 def test_swpf_late_partial_stall():
     # load immediately after prefetch: only residual latency is paid
     t = _trace([(SWPF, 0), (LOAD, 0)])
-    _, c = run_single(t, HW)
+    c = simulate(t, HW).counters
     assert c.load_late_prefetch == 1
     assert c.swpf_late == 1
     limit = HW.pm.media_latency_ns * HW.pm.prefetch_latency_factor
@@ -121,7 +124,7 @@ def test_swpf_late_partial_stall():
 def test_hw_prefetch_issue_and_useful():
     # Sequential walk over one page: streamer trains and covers lines.
     ops = [(LOAD, i * 64) for i in range(32)]
-    _, c = run_single(_trace(ops), HW)
+    c = simulate(_trace(ops), HW).counters
     assert c.hwpf_issued > 0
     assert c.hwpf_useful > 0
     assert c.load_cache_hits > 0
@@ -129,27 +132,28 @@ def test_hw_prefetch_issue_and_useful():
 
 def test_hw_prefetch_disabled_no_issue():
     ops = [(LOAD, i * 64) for i in range(32)]
-    _, c = run_single(_trace(ops), HW.with_prefetcher(enabled=False))
+    c = simulate(_trace(ops), HW.with_prefetcher(enabled=False)).counters
     assert c.hwpf_issued == 0
     assert c.load_cache_hits == 0
 
 
 def test_store_counted_and_fence_waits():
     t = _trace([(STORE, 0), (FENCE, 0)])
-    finish, c = run_single(t, HW)
+    res = simulate(t, HW)
+    finish, c = res.makespan_ns, res.counters
     assert c.stores == 1
     assert finish >= 64 / HW.pm.write_bw_gbps  # at least the write occupancy
 
 
 def test_unknown_opcode_rejected():
     with pytest.raises(ValueError):
-        run_single(_trace([(99, 0)]), HW)
+        simulate(_trace([(99, 0)]), HW)
 
 
 def test_dram_source_uses_dram_latency():
     hw = HW.with_(load_source="dram")
     t = _trace([(LOAD, 0)])
-    _, c = run_single(t, hw)
+    c = simulate(t, hw).counters
     assert c.load_stall_ns == pytest.approx(HW.dram.latency_ns / HW.dram.mlp)
     assert c.media_read_bytes == 0
 
@@ -161,12 +165,10 @@ def test_simulate_requires_traces():
         simulate([], HW)
 
 
-def test_simulate_single_matches_run_single():
+def test_simulate_single_matches_reference():
     ops = [(LOAD, i * 64) for i in range(64)] + [(FENCE, 0)]
-    t1, c1 = run_single(_trace(list(ops)), HW)
-    res = simulate([_trace(list(ops))], HW)
-    assert res.makespan_ns == pytest.approx(t1)
-    assert res.counters.loads == c1.loads
+    assert_identical(simulate(_trace(list(ops)), HW),
+                     reference_simulate([_trace(list(ops))], HW))
 
 
 def test_simulate_two_threads_share_buffer():
