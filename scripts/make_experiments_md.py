@@ -1,22 +1,28 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md: paper-vs-measured for every figure.
+"""Render EXPERIMENTS.md: paper-vs-measured for every figure.
 
-Runs all 15 figure experiments plus the 5 ablations on the simulated
-testbed (about two minutes) and renders a Markdown report. The paper's
-quantitative claims are embedded below; measured values come from the
-live run.
+Reads the persisted results of all 15 figure experiments plus the 9
+ablations/extensions from ``benchmarks/results/<id>.json`` and renders
+a Markdown report next to the paper's quantitative claims, which are
+embedded below. Runs no simulation; regenerate the JSON first with::
+
+    python -m repro.bench <figure and ablation ids> \
+        --out benchmarks/results --json --no-history
 
 Usage:  python scripts/make_experiments_md.py [output.md]
 """
 
 from __future__ import annotations
 
+import json
+import pathlib
 import sys
-import time
-from datetime import date
 
 from repro.bench.ablations import ALL_ABLATIONS
 from repro.bench.figures import ALL_FIGURES
+from repro.bench.report import FigureResult
+
+RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 #: What the paper reports for each figure (summarized from §3/§5).
 PAPER_EXPECTATIONS = {
@@ -73,13 +79,13 @@ PAPER_EXPECTATIONS = {
 }
 
 
-def main(argv: list[str]) -> int:
-    out_path = argv[1] if len(argv) > 1 else "EXPERIMENTS.md"
+def render() -> str:
+    """The full report, from ``RESULTS_DIR/<id>.json`` in registry order."""
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",
-        "Generated by `python scripts/make_experiments_md.py` on "
-        f"{date.today().isoformat()}; every experiment runs on the "
+        "Generated by `python scripts/make_experiments_md.py` from "
+        "`benchmarks/results/<id>.json`; every experiment runs on the "
         "simulated testbed described in DESIGN.md (defaults in "
         "`repro/simulator/params.py`).",
         "",
@@ -90,11 +96,9 @@ def main(argv: list[str]) -> int:
         "",
     ]
     total_ok = total = 0
-    for name, func in {**ALL_FIGURES, **ALL_ABLATIONS}.items():
-        t0 = time.time()
-        print(f"running {name}...", flush=True)
-        result = func()
-        elapsed = time.time() - t0
+    for name in [*ALL_FIGURES, *ALL_ABLATIONS]:
+        result = FigureResult.from_dict(
+            json.loads((RESULTS_DIR / f"{name}.json").read_text()))
         ok = sum(c.passed for c in result.checks)
         total_ok += ok
         total += len(result.checks)
@@ -107,8 +111,7 @@ def main(argv: list[str]) -> int:
         lines.append(result.table_str())
         lines.append("```")
         lines.append("")
-        lines.append(f"**Checks ({ok}/{len(result.checks)} passed, "
-                     f"{elapsed:.0f}s):**")
+        lines.append(f"**Checks ({ok}/{len(result.checks)} passed):**")
         lines.append("")
         for c in result.checks:
             mark = "x" if c.passed else " "
@@ -119,10 +122,16 @@ def main(argv: list[str]) -> int:
         lines.append("")
     lines.insert(4, f"**Overall: {total_ok}/{total} shape checks pass.**")
     lines.insert(5, "")
+    return "\n".join(lines) + "\n"
+
+
+def main(argv: list[str]) -> int:
+    out_path = argv[1] if len(argv) > 1 else "EXPERIMENTS.md"
+    text = render()
     with open(out_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print(f"wrote {out_path}: {total_ok}/{total} checks pass")
-    return 0 if total_ok == total else 1
+        f.write(text)
+    print(f"wrote {out_path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ echo "== install =="
 pip install -e . 2>/dev/null || python setup.py develop
 
 echo "== unit / property / integration tests =="
+# pyproject.toml turns every DeprecationWarning into an error here.
 python -m pytest tests/ 2>&1 | tee test_output.txt
 
 echo "== hostbench job (own tests + multicore pinned-digest check) =="
@@ -16,15 +17,6 @@ echo "== hostbench job (own tests + multicore pinned-digest check) =="
 # multicore byte-identity is gated here, not only by figure reruns.
 python3 -m pytest hostbench -q
 python3 hostbench/run.py --workload scale_mt --seed 0 --seconds 1 --trace 0
-
-echo "== strict deprecation job (shimmed warnings allowlisted) =="
-# Internal code must be off the pre-1.1 API: any stock DeprecationWarning
-# is an error, while the repo's own shim warnings (exercised on purpose
-# by the shim round-trip tests) stay allowed.
-python -m pytest tests/ -q \
-    -W error::DeprecationWarning \
-    -W "default::repro._deprecation.ReproDeprecationWarning" \
-    2>&1 | tee strict_warnings_output.txt
 
 echo "== lint (ruff, skipped when unavailable) =="
 if command -v ruff >/dev/null 2>&1; then
@@ -119,10 +111,14 @@ python -m repro.bench crash --seed 0
 echo "== slow campaigns (soak tests deselected from tier-1) =="
 python -m pytest tests/ -m slow 2>&1 | tee slow_output.txt
 
-echo "== figure benchmarks (writes benchmarks/results/) =="
-python -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+echo "== figure and ablation experiments (writes benchmarks/results/) =="
+# Exits non-zero unless every shape check passes. --no-history keeps
+# these reruns out of the perf-regression ledger.
+ids=$(python -c 'from repro.bench.figures import ALL_FIGURES; from repro.bench.ablations import ALL_ABLATIONS; print(*ALL_FIGURES, *ALL_ABLATIONS)')
+python -m repro.bench $ids --out benchmarks/results --json --no-history \
+    2>&1 | tee bench_output.txt
 
-echo "== paper-vs-measured report =="
+echo "== paper-vs-measured report (renders the JSON, no simulation) =="
 python scripts/make_experiments_md.py
 
 echo "== API reference =="

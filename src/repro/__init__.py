@@ -37,7 +37,6 @@ Quickstart
 True
 """
 
-from repro._deprecation import ReproDeprecationWarning
 from repro.chaos import (
     CANNED_CAMPAIGNS,
     AuditReport,
@@ -120,7 +119,6 @@ __all__ = [
     "Cerasure",
     "UnsupportedWorkload",
     "GeometryMismatch",
-    "ReproDeprecationWarning",
     "PMStore",
     "FaultInjector",
     "FaultEvent",

@@ -4,9 +4,10 @@ Each ``fig*`` function in :mod:`repro.bench.figures` runs one paper
 experiment end-to-end (workload sweep x libraries) on the simulated
 testbed and returns a :class:`~repro.bench.report.FigureResult` with
 the measured series, the paper's expected shape encoded as explicit
-checks, and notes on any known deviation. The pytest-benchmark modules
-under ``benchmarks/`` are thin wrappers; ``scripts/make_experiments_md.py``
-renders all results into EXPERIMENTS.md.
+checks, and notes on any known deviation. ``python -m repro.bench``
+runs them and persists ``<id>.txt``/``<id>.json`` under
+``benchmarks/results/``; ``scripts/make_experiments_md.py`` renders
+that JSON into EXPERIMENTS.md.
 
 Set ``REPRO_BENCH_SCALE`` (float) to shrink/grow simulated data volumes.
 """

@@ -107,6 +107,18 @@ class FigureResult:
             "notes": list(self.notes),
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "FigureResult":
+        """Inverse of :meth:`to_dict` (rebuilds a persisted ``<id>.json``)."""
+        rows = []
+        for row in data["rows"]:
+            values = dict(row)
+            rows.append((values.pop("point"), values))
+        return cls(data["fig_id"], data["title"], list(data["columns"]),
+                   rows=rows,
+                   checks=[Check(**c) for c in data["checks"]],
+                   notes=list(data["notes"]))
+
     def history_metrics(self) -> dict:
         """Gateable numbers for the ``BENCH_history.jsonl`` ledger.
 

@@ -1,11 +1,10 @@
 """The 1.1 API redesign: DialgaConfig, the uniform run() signature,
-deprecation shims, RS(n, k) constructors and the façade exports."""
+RS(n, k) constructors and the façade exports."""
 
 import warnings
 
 import pytest
 
-from repro import ReproDeprecationWarning
 from repro.core import (
     AdaptiveCoordinator,
     CoordinatorConfig,
@@ -61,54 +60,38 @@ def test_encoder_takes_config_silently():
     assert not enc.use_probe and enc.chunks == 2
 
 
-# ------------------------------------------------------ constructor shim
+# ------------------------------------------------- constructor errors
 
-def test_legacy_keywords_warn_and_round_trip():
-    with pytest.warns(ReproDeprecationWarning, match="DialgaConfig"):
-        enc = DialgaEncoder(6, 3, use_probe=False, chunks=2,
-                            adaptive=False)
-    assert enc.config == DialgaConfig(use_probe=False, chunks=2,
-                                      adaptive=False)
-
-
-def test_legacy_positional_args_warn_and_round_trip():
-    # Old order: field, adaptive, chunks, ...
-    with pytest.warns(ReproDeprecationWarning):
-        enc = DialgaEncoder(6, 3, None, False, 4)
-    assert not enc.adaptive and enc.chunks == 4
-
-
-def test_legacy_coordinator_config_maps_to_coordinator_field():
-    cc = CoordinatorConfig(thread_threshold=4)
-    with pytest.warns(ReproDeprecationWarning):
-        enc = DialgaEncoder(6, 3, coordinator_config=cc)
-    assert enc.config.coordinator is cc
-    assert enc.coordinator_config is cc  # compat property
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {"turbo": True}),
+    ((), {"use_probe": False}),  # pre-1.1 loose keyword
+    ((None, False), {}),         # pre-1.1 positional knobs
+], ids=["unknown", "pre11-keyword", "pre11-positional"])
+def test_unknown_constructor_keyword_is_an_error(args, kwargs):
+    with pytest.raises(TypeError, match="unexpected keyword|positional arg"):
+        DialgaEncoder(6, 3, *args, **kwargs)
 
 
 def test_mixing_config_and_legacy_keywords_is_an_error():
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="unexpected keyword"):
         DialgaEncoder(6, 3, use_probe=False, config=DialgaConfig())
 
 
-def test_unknown_constructor_keyword_is_an_error():
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        DialgaEncoder(6, 3, turbo=True)
-
-
 def test_duplicate_positional_and_keyword_is_an_error():
-    with pytest.raises(TypeError, match="duplicate"):
+    with pytest.raises(TypeError, match="unexpected keyword"):
         DialgaEncoder(6, 3, None, False, adaptive=True)
 
 
 def test_compat_properties_mirror_config():
+    cc = CoordinatorConfig(thread_threshold=4)
     enc = DialgaEncoder(6, 3, config=DialgaConfig(
         adaptive=False, chunks=0, use_probe=False,
-        policy_override=Policy(hw_prefetch=False)))
+        policy_override=Policy(hw_prefetch=False), coordinator=cc))
     assert enc.adaptive is False
     assert enc.chunks == 1  # clamped, as the old attribute was used
     assert enc.use_probe is False
     assert enc.policy_override == Policy(hw_prefetch=False)
+    assert enc.coordinator_config is cc
 
 
 # ------------------------------------------------------ uniform run()
@@ -125,15 +108,8 @@ def test_run_positional_and_keyword_agree(enc):
     assert a.throughput_gbps == b.throughput_gbps
 
 
-def test_run_legacy_wl_hw_keywords_warn_but_agree(enc):
-    baseline = enc.run(WL, HW).throughput_gbps
-    with pytest.warns(ReproDeprecationWarning, match="wl="):
-        via_wl = enc.run(wl=WL, hw=HW)
-    assert via_wl.throughput_gbps == baseline
-
-
 def test_run_double_workload_is_an_error(enc):
-    with pytest.raises(TypeError, match="once"):
+    with pytest.raises(TypeError, match="unexpected keyword"):
         enc.run(WL, wl=WL)
 
 
@@ -142,9 +118,13 @@ def test_run_missing_workload_is_an_error(enc):
         enc.run(hardware=HW)
 
 
-def test_run_unknown_keyword_is_an_error(enc):
-    with pytest.raises(TypeError, match="unexpected"):
-        enc.run(WL, workloud=WL)
+@pytest.mark.parametrize("kwargs", [
+    {"workloud": WL},
+    {"wl": WL, "hw": HW},  # pre-1.1 spelling
+], ids=["typo", "pre11-wl-hw"])
+def test_run_unknown_keyword_is_an_error(enc, kwargs):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        enc.run(**kwargs)
 
 
 def test_run_signature_uniform_across_libraries():
@@ -241,7 +221,7 @@ def test_facade_exports_the_new_surface():
     import repro
 
     for name in ("DialgaConfig", "PolicySwitch", "GeometryMismatch",
-                 "ReproDeprecationWarning", "TransientFault",
+                 "TransientFault",
                  "ErasureCodingService", "ServiceConfig", "Request",
                  "RequestResult", "RetryPolicy", "MetricsRegistry"):
         assert name in repro.__all__

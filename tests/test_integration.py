@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import (
-    Cerasure, DialgaEncoder, HardwareConfig, ISAL, ISALDecompose,
+    Cerasure, DialgaConfig, DialgaEncoder, HardwareConfig, ISAL, ISALDecompose,
     LRCCode, RSCode, Workload, Zerasure,
 )
 from repro.bench.figures import fig03, fig05
@@ -46,7 +46,7 @@ def test_all_libraries_full_pipeline_same_workload():
     throughputs = {}
     for lib in (ISAL(k, m), ISALDecompose(k, m, group_size=4),
                 Zerasure(k, m), Cerasure(k, m),
-                DialgaEncoder(k, m, use_probe=False)):
+                DialgaEncoder(k, m, config=DialgaConfig(use_probe=False))):
         parity = lib.encode(data)
         blocks = {i: data[i] for i in range(k)}
         blocks.update({k + i: parity[i] for i in range(m)})
@@ -68,7 +68,7 @@ def test_dialga_traces_validate_for_every_policy_it_produces():
         for k in (6, 48):
             wl = Workload(k=k, m=4, block_bytes=1024, nthreads=nthreads,
                           data_bytes_per_thread=12 * 1024)
-            enc = DialgaEncoder(k, 4, use_probe=False)
+            enc = DialgaEncoder(k, 4, config=DialgaConfig(use_probe=False))
             enc.run(wl, HW)
             for pol in enc.policy_log:
                 trace = enc.trace(wl, HW, thread=0, policy=pol)
@@ -79,8 +79,8 @@ def test_adaptive_run_matches_nonadaptive_when_stable():
     """With stable pressure the adaptive path shouldn't lose to the
     pinned initial policy by more than chunking noise."""
     wl = Workload(k=8, m=4, block_bytes=1024, data_bytes_per_thread=64 * 1024)
-    adaptive = DialgaEncoder(8, 4, use_probe=False, chunks=4).run(wl, HW)
-    pinned = DialgaEncoder(8, 4, use_probe=False, adaptive=False).run(wl, HW)
+    adaptive = DialgaEncoder(8, 4, config=DialgaConfig(use_probe=False, chunks=4)).run(wl, HW)
+    pinned = DialgaEncoder(8, 4, config=DialgaConfig(use_probe=False, adaptive=False)).run(wl, HW)
     ratio = adaptive.throughput_gbps / pinned.throughput_gbps
     assert 0.9 <= ratio <= 1.1, ratio
 
@@ -124,7 +124,7 @@ def test_decode_after_simulated_degraded_read():
     k, m, er = 8, 4, 3
     wl = Workload(k=k, m=m, op="decode", erasures=er, block_bytes=1024,
                   data_bytes_per_thread=16 * 1024)
-    lib = DialgaEncoder(k, m, use_probe=False)
+    lib = DialgaEncoder(k, m, config=DialgaConfig(use_probe=False))
     res = lib.run(wl, HW)
     # stores per stripe == erasures * lines
     stripes = wl.stripes_per_thread

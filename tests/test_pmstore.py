@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import DialgaEncoder
+from repro import DialgaConfig, DialgaEncoder
 from repro.pmstore import FaultInjector, PMStore, Scrubber
 
 
@@ -222,7 +222,7 @@ def test_scrub_counts_mix_of_lost_and_corrupt():
 # -- performance accounting ----------------------------------------------------------
 
 def test_store_charges_simulated_coding_time():
-    lib = DialgaEncoder(4, 2, use_probe=False)
+    lib = DialgaEncoder(4, 2, config=DialgaConfig(use_probe=False))
     s = PMStore(4, 2, block_bytes=1024, library=lib)
     s.put("obj", b"timed" * 100)
     assert s.stats.encode_ns > 0

@@ -1,9 +1,17 @@
-"""Tests for FigureResult JSON/CSV exports and the CLI --json path."""
+"""Tests for FigureResult JSON/CSV exports, the CLI --json path and
+the tracked ``benchmarks/results/`` they persist."""
 
 import json
+import pathlib
+import runpy
 
+from repro.bench.ablations import ALL_ABLATIONS
 from repro.bench.cli import main as cli_main
+from repro.bench.figures import ALL_FIGURES
 from repro.bench.report import FigureResult
+
+ROOT = pathlib.Path(__file__).parent.parent
+RESULTS = ROOT / "benchmarks" / "results"
 
 
 def _fig():
@@ -21,6 +29,13 @@ def test_to_dict_roundtrips_through_json():
     assert d["rows"][0] == {"point": "a", "x": 1.5, "y": None}
     assert d["checks"][0]["passed"] is True
     assert d["notes"] == ["n1"]
+
+
+def test_from_dict_inverts_to_dict():
+    fig = _fig()
+    back = FigureResult.from_dict(json.loads(json.dumps(fig.to_dict())))
+    assert back == fig
+    assert back.render() == fig.render()
 
 
 def test_to_csv():
@@ -45,3 +60,22 @@ def test_cli_plot_flag(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "o=throughput_gbps" in out
+
+
+# ------------------------------------------- tracked benchmarks/results/
+
+def test_tracked_results_cover_every_figure_and_ablation():
+    ids = {p.stem for p in RESULTS.glob("*.json")}
+    assert ids == set(ALL_FIGURES) | set(ALL_ABLATIONS)
+
+
+def test_tracked_json_rerenders_to_tracked_txt():
+    for path in sorted(RESULTS.glob("*.json")):
+        result = FigureResult.from_dict(json.loads(path.read_text()))
+        assert result.render() + "\n" == path.with_suffix(".txt").read_text(), \
+            path.name
+
+
+def test_experiments_md_renders_from_tracked_json():
+    script = runpy.run_path(str(ROOT / "scripts" / "make_experiments_md.py"))
+    assert script["render"]() == (ROOT / "EXPERIMENTS.md").read_text()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import DialgaEncoder, HardwareConfig, ISAL
+from repro import DialgaConfig, DialgaEncoder, HardwareConfig, ISAL
 from repro.bench.workloads import PRODUCTION_WORKLOADS, get_workload
 
 
@@ -45,5 +45,5 @@ def test_dialga_wins_on_every_runnable_preset():
         wl = get_workload(name).with_(data_bytes_per_thread=32 * 1024,
                                       nthreads=1)
         isal = ISAL(wl.k, wl.m).run(wl, hw).throughput_gbps
-        dialga = DialgaEncoder(wl.k, wl.m, use_probe=False).run(wl, hw).throughput_gbps
+        dialga = DialgaEncoder(wl.k, wl.m, config=DialgaConfig(use_probe=False)).run(wl, hw).throughput_gbps
         assert dialga > isal, name
