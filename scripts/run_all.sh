@@ -11,11 +11,13 @@ echo "== unit / property / integration tests =="
 # pyproject.toml turns every DeprecationWarning into an error here.
 python -m pytest tests/ 2>&1 | tee test_output.txt
 
-echo "== hostbench job (own tests + multicore pinned-digest check) =="
-# The scale_mt workload checks every multicore simulation it runs
-# against hostbench/digests.json and exits non-zero on any mismatch, so
-# multicore byte-identity is gated here, not only by figure reruns.
+echo "== hostbench job (own tests + pinned-digest checks) =="
+# The sweep_1t and scale_mt workloads check every simulation they run
+# against hostbench/digests.json and exit non-zero on any mismatch, so
+# single-thread (fast-forward included) and multicore byte-identity is
+# gated here, not only by figure reruns.
 python3 -m pytest hostbench -q
+python3 hostbench/run.py --workload sweep_1t --seed 0 --seconds 1 --trace 0
 python3 hostbench/run.py --workload scale_mt --seed 0 --seconds 1 --trace 0
 
 echo "== lint (ruff, skipped when unavailable) =="

@@ -36,11 +36,6 @@ class CrashScenario:
     lrc_l: int | None = None
     ops: tuple[tuple, ...] = field(default=())
 
-    def payload_ops(self) -> int:
-        """How many ops carry client-visible writes."""
-        return sum(1 for op in self.ops
-                   if op[0] in ("put", "update", "delete"))
-
 
 def _payload(rng: np.random.Generator, nbytes: int) -> bytes:
     return rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes()

@@ -156,10 +156,6 @@ class HealthMonitor:
         """Current breaker state of ``device``."""
         return self._devices[device].state
 
-    def error_count(self, device: int) -> int:
-        """Lifetime error count of ``device``."""
-        return self._devices[device].total_errors
-
     def open_devices(self) -> list[int]:
         """Devices whose breaker is currently OPEN or HALF_OPEN."""
         return [d for d, dev in enumerate(self._devices)

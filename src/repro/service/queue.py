@@ -48,13 +48,6 @@ class Batch:
         """Whether more than one request was merged."""
         return len(self.requests) > 1
 
-    @property
-    def min_deadline_ns(self) -> float:
-        """Tightest deadline across the batch (deadline propagation:
-        the batch as a whole inherits its most urgent member)."""
-        return min((r.deadline_ns for r in self.requests),
-                   default=float("inf"))
-
 
 class RequestQueue:
     """FIFO queue with a depth bound and same-geometry batch pulls."""

@@ -13,8 +13,11 @@ studies.
 :meth:`ThreadContext.run` is the one interpreter. The per-op semantics
 of the cache (:class:`~repro.simulator.cache.CoreCache`), the streamer
 (:class:`~repro.simulator.streamprefetcher.StreamPrefetcher`) and the
-PM/DRAM backends (``fill_line``/``write_line``) are inlined into one
-loop with hot state in locals. Single-thread runs call it once; the
+store path (``write_line``) are inlined into one loop with hot state in
+locals; every line fill — demand, software prefetch, hardware
+prefetch — is one call into the load backend's ``fill_line``
+(:mod:`repro.simulator.memory`), the only implementation of the PM
+read buffer and the fill pipes. Single-thread runs call it once; the
 multicore scheduler (:mod:`repro.simulator.multicore`) calls it once
 per scheduling turn with a clock ``limit``; the fast-forward layer
 calls it period by period with an op bound ``until``.
@@ -26,7 +29,6 @@ import math
 
 from repro.simulator.cache import CoreCache, DEMAND, HWPF, SWPF as SWPF_SRC, _Line
 from repro.simulator.counters import Counters
-from repro.simulator.memory import PMBackend
 from repro.simulator.params import HardwareConfig
 from repro.simulator.streamprefetcher import StreamPrefetcher, _Stream
 from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace
@@ -70,11 +72,14 @@ class ThreadContext:
             limit: float = math.inf) -> float:
         """Execute the trace (to ``until``, if given); returns the clock.
 
-        The per-op semantics of the memory model (backend fills, read
-        buffer, streamer training, cache insertion) are inlined into
-        one loop with all hot state — counters included — in locals:
-        one Python frame for the whole trace instead of five per op.
-        The arithmetic hard-codes the stock PM/DRAM backends;
+        The core-side semantics (cache lookup and insertion, streamer
+        training, the store path) are inlined into one loop with their
+        hot state — core counters included — in locals. Line fills are
+        not: each is one call to the load backend's ``fill_line``,
+        which returns ``(wait, latency, demand_latency)`` and keeps its
+        own pipes, read buffer and counters. A demand miss stalls
+        ``wait + latency / mlp``; a prefetch arrives at ``issue + wait
+        + latency`` and can be promoted at ``demand_latency / mlp``.
         ``tests/reference_interpreter.py`` spells the same semantics
         out through the model methods and pins this loop to them, bit
         for bit.
@@ -129,32 +134,10 @@ class ThreadContext:
         table_mte = table.move_to_end
         table_pop = table.popitem
 
-        # Load-side backend hot state. The PM and DRAM fill paths are
-        # both inlined below, selected by ``pm_load``; the arithmetic
-        # mirrors ``PMBackend.fill_line`` / ``DRAMBackend.fill_line``
-        # exactly (precomputed products are constant-folded copies of
-        # the same expressions, so the floats are identical).
+        # Line fills are one backend call each; the backend bumps its
+        # own traffic and read-buffer counters.
+        fill_line = load_backend.fill_line
         mlp = load_backend.mlp
-        pm_load = type(load_backend) is PMBackend
-        if pm_load:
-            lb_cfg = load_backend.config
-            ctrl_pipe = load_backend.ctrl_pipe
-            media_pipe = load_backend.media_pipe
-            ctrl_step = 64 * ctrl_pipe.ns_per_byte
-            media_step = lb_cfg.xpline_bytes * media_pipe.ns_per_byte
-            xpline_bytes = lb_cfg.xpline_bytes
-            buffer_hit_ns = lb_cfg.buffer_hit_latency_ns
-            media_ns = lb_cfg.media_latency_ns
-            media_pf_ns = media_ns * lb_cfg.prefetch_latency_factor
-            rb = load_backend.read_buffer
-            rb_entries = rb._entries
-            rb_mte = rb_entries.move_to_end
-            rb_pop = rb_entries.popitem
-            rb_cap = rb.capacity
-        else:
-            read_pipe = load_backend.read_pipe
-            read_step = 64 * read_pipe.ns_per_byte
-            dram_ns = load_backend.config.latency_ns
 
         # Store-side backend hot state (write path is identical for PM
         # and DRAM: a bandwidth pipe plus byte accounting).
@@ -184,13 +167,7 @@ class ThreadContext:
         c_swpf_late = c.swpf_late
         c_swpf_useless = c.swpf_useless
         c_app_read_bytes = c.app_read_bytes
-        c_ctrl_read_bytes = c.ctrl_read_bytes
-        c_media_read_bytes = c.media_read_bytes
         c_write_bytes = c.write_bytes
-        c_buffer_hits = c.buffer_hits
-        c_buffer_misses = c.buffer_misses
-        c_buffer_evictions = c.buffer_evictions
-        c_buffer_evictions_unused = c.buffer_evictions_unused
 
         clock = self.clock
         try:
@@ -225,41 +202,8 @@ class ThreadContext:
                                 c_hwpf_useless += 1
                             now += wait + hit_ns
                     else:
-                        # Demand fill (inlined backend).
-                        c_ctrl_read_bytes += 64
-                        if pm_load:
-                            start = ctrl_pipe.free_at
-                            if start < now:
-                                start = now
-                            ctrl_pipe.free_at = start + ctrl_step
-                            qd = start - now
-                            xp = line // xpline_bytes
-                            if xp in rb_entries:
-                                rb_entries[xp] += 1
-                                rb_mte(xp)
-                                c_buffer_hits += 1
-                                stall = qd + buffer_hit_ns / mlp
-                            else:
-                                c_buffer_misses += 1
-                                t = now + qd
-                                mstart = media_pipe.free_at
-                                if mstart < t:
-                                    mstart = t
-                                media_pipe.free_at = mstart + media_step
-                                c_media_read_bytes += xpline_bytes
-                                if len(rb_entries) >= rb_cap:
-                                    _, used = rb_pop(last=False)
-                                    c_buffer_evictions += 1
-                                    if used <= 1:
-                                        c_buffer_evictions_unused += 1
-                                rb_entries[xp] = 1
-                                stall = qd + (mstart - t) + media_ns / mlp
-                        else:
-                            start = read_pipe.free_at
-                            if start < now:
-                                start = now
-                            read_pipe.free_at = start + read_step
-                            stall = (start - now) + dram_ns / mlp
+                        wait, lat, _ = fill_line(line, now, True)
+                        stall = wait + lat / mlp
                         c_load_misses += 1
                         c_load_stall_ns += stall
                         now += stall + hit_ns
@@ -305,44 +249,9 @@ class ThreadContext:
                     line = int(arg) & ~63
                     ent = cache_get(line)
                     if ent is None:
-                        # Prefetch-priority fill (inlined backend).
-                        c_ctrl_read_bytes += 64
-                        if pm_load:
-                            start = ctrl_pipe.free_at
-                            if start < now:
-                                start = now
-                            ctrl_pipe.free_at = start + ctrl_step
-                            qd = start - now
-                            xp = line // xpline_bytes
-                            if xp in rb_entries:
-                                rb_entries[xp] += 1
-                                rb_mte(xp)
-                                c_buffer_hits += 1
-                                arrival = now + qd + buffer_hit_ns
-                                promo = buffer_hit_ns / mlp
-                            else:
-                                c_buffer_misses += 1
-                                t = now + qd
-                                mstart = media_pipe.free_at
-                                if mstart < t:
-                                    mstart = t
-                                media_pipe.free_at = mstart + media_step
-                                c_media_read_bytes += xpline_bytes
-                                if len(rb_entries) >= rb_cap:
-                                    _, used = rb_pop(last=False)
-                                    c_buffer_evictions += 1
-                                    if used <= 1:
-                                        c_buffer_evictions_unused += 1
-                                rb_entries[xp] = 1
-                                arrival = now + (qd + (mstart - t)) + media_pf_ns
-                                promo = media_ns / mlp
-                        else:
-                            start = read_pipe.free_at
-                            if start < now:
-                                start = now
-                            read_pipe.free_at = start + read_step
-                            arrival = now + (start - now) + dram_ns
-                            promo = dram_ns / mlp
+                        wait, lat, dlat = fill_line(line, now, False)
+                        arrival = now + wait + lat
+                        promo = dlat / mlp
                         if len(lines) >= cache_cap:
                             _, ev = cache_pop(last=False)
                             if not ev.used:
@@ -412,44 +321,10 @@ class ThreadContext:
                 base = page * pf_page_bytes
                 for l in range(first, target + 1):
                     tgt = base + l * 64
-                    # Prefetch-priority fill (inlined backend) + insert.
-                    c_ctrl_read_bytes += 64
-                    if pm_load:
-                        start = ctrl_pipe.free_at
-                        if start < clock:
-                            start = clock
-                        ctrl_pipe.free_at = start + ctrl_step
-                        qd = start - clock
-                        xp = tgt // xpline_bytes
-                        if xp in rb_entries:
-                            rb_entries[xp] += 1
-                            rb_mte(xp)
-                            c_buffer_hits += 1
-                            arrival = clock + qd + buffer_hit_ns
-                            promo = buffer_hit_ns / mlp
-                        else:
-                            c_buffer_misses += 1
-                            t = clock + qd
-                            mstart = media_pipe.free_at
-                            if mstart < t:
-                                mstart = t
-                            media_pipe.free_at = mstart + media_step
-                            c_media_read_bytes += xpline_bytes
-                            if len(rb_entries) >= rb_cap:
-                                _, used = rb_pop(last=False)
-                                c_buffer_evictions += 1
-                                if used <= 1:
-                                    c_buffer_evictions_unused += 1
-                            rb_entries[xp] = 1
-                            arrival = clock + (qd + (mstart - t)) + media_pf_ns
-                            promo = media_ns / mlp
-                    else:
-                        start = read_pipe.free_at
-                        if start < clock:
-                            start = clock
-                        read_pipe.free_at = start + read_step
-                        arrival = clock + (start - clock) + dram_ns
-                        promo = dram_ns / mlp
+                    # Prefetch-priority fill + insert.
+                    wait, lat, dlat = fill_line(tgt, clock, False)
+                    arrival = clock + wait + lat
+                    promo = dlat / mlp
                     ent = cache_get(tgt)
                     if ent is not None:
                         if arrival < ent.arrival_ns:
@@ -486,12 +361,6 @@ class ThreadContext:
             c.swpf_late = c_swpf_late
             c.swpf_useless = c_swpf_useless
             c.app_read_bytes = c_app_read_bytes
-            c.ctrl_read_bytes = c_ctrl_read_bytes
-            c.media_read_bytes = c_media_read_bytes
             c.write_bytes = c_write_bytes
-            c.buffer_hits = c_buffer_hits
-            c.buffer_misses = c_buffer_misses
-            c.buffer_evictions = c_buffer_evictions
-            c.buffer_evictions_unused = c_buffer_evictions_unused
         return clock
 

@@ -10,8 +10,8 @@ skips ahead by exact extrapolation, producing output **byte-identical**
 to plain interpretation:
 
 1. **Detect** the periodic region with pure array arithmetic.
-2. **Interpret** period by period (through the engine's inlined fast
-   path, chunked via ``ThreadContext.run(until=...)``), taking a cheap
+2. **Interpret** period by period (through the engine's interpreter,
+   chunked via ``ThreadContext.run(until=...)``), taking a cheap
    fingerprint at every period boundary: elapsed ns, the full counter
    delta, and the model occupancy sizes. Only when consecutive cheap
    fingerprints agree is the full **shift-invariant digest** computed —

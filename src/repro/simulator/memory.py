@@ -1,16 +1,22 @@
 """Memory backends: DRAM and Optane-style PM.
 
 Backends answer 64 B fill requests (demand or prefetch) with a
-``(queue_delay_ns, service_latency_ns)`` pair and do the traffic
-accounting. Bandwidth is modelled as busy-until pipes: each transfer
-occupies its pipe for ``bytes / bandwidth`` and later requests queue
-behind it — under high thread counts this is what saturates and bends
-the scalability curves (Fig. 7 / 13).
+``(queue_delay_ns, service_latency_ns, demand_latency_ns)`` triple and
+do the traffic accounting. Bandwidth is modelled as busy-until pipes:
+each transfer occupies its pipe for ``bytes / bandwidth`` and later
+requests queue behind it — under high thread counts this is what
+saturates and bends the scalability curves (Fig. 7 / 13).
 
 The PM backend additionally runs the shared XPLine read buffer: a fill
 whose XPLine is resident costs only the buffer-hit latency and no media
 traffic; a miss charges a 256 B media transfer (the *implicit load*)
 and inserts the XPLine, possibly thrash-evicting another.
+
+``fill_line`` is the one implementation of a line fill: the
+interpreter calls it for every demand, software-prefetch and
+hardware-prefetch fill. It is the simulator's hottest call, so each
+backend binds it once, at construction, as a flat function: its
+constants are closure cells, and it calls no other model method.
 """
 
 from __future__ import annotations
@@ -55,7 +61,14 @@ class _Pipe:
 
 
 class DRAMBackend:
-    """Flat-latency DRAM with read/write bandwidth pipes."""
+    """Flat-latency DRAM with read/write bandwidth pipes; its
+    ``fill_line(addr, now, demand) -> (queue_delay, latency,
+    demand_latency)`` serves one 64 B read.
+
+    ``demand_latency`` is what the same fill would cost at demand
+    priority — the bound a promoted late prefetch converges to. DRAM
+    serves both priorities at its flat latency.
+    """
 
     def __init__(self, config: DRAMConfig, counters: Counters):
         self.config = config
@@ -63,17 +76,24 @@ class DRAMBackend:
         self.read_pipe = _Pipe(config.read_bw_gbps)
         self.write_pipe = _Pipe(config.write_bw_gbps)
         self.mlp = config.mlp
+        self.fill_line = self._bind_fill_line()
 
-    def fill_line(self, addr: int, now: float, demand: bool) -> tuple[float, float, float]:
-        """Serve a 64 B read.
+    def _bind_fill_line(self):
+        counters = self.counters
+        read_pipe = self.read_pipe
+        read_step = LINE_BYTES * read_pipe.ns_per_byte
+        latency_ns = self.config.latency_ns
 
-        Returns ``(queue_delay, latency, demand_latency)`` where
-        ``demand_latency`` is what the same fill would cost at demand
-        priority — the bound a promoted late prefetch converges to.
-        """
-        self.counters.ctrl_read_bytes += LINE_BYTES
-        qd = self.read_pipe.acquire(now, LINE_BYTES)
-        return qd, self.config.latency_ns, self.config.latency_ns
+        def fill_line(addr: int, now: float,
+                      demand: bool) -> tuple[float, float, float]:
+            counters.ctrl_read_bytes += LINE_BYTES
+            start = read_pipe.free_at
+            if start < now:
+                start = now
+            read_pipe.free_at = start + read_step
+            return start - now, latency_ns, latency_ns
+
+        return fill_line
 
     def write_line(self, addr: int, now: float) -> float:
         """Accept a 64 B non-temporal store; returns its queue delay."""
@@ -90,7 +110,20 @@ class DRAMBackend:
 
 
 class PMBackend:
-    """Optane-style PM: XPLine media behind a shared read buffer."""
+    """Optane-style PM: XPLine media behind a shared read buffer; its
+    ``fill_line(addr, now, demand) -> (queue_delay, latency,
+    demand_latency)`` serves one 64 B read.
+
+    Every fill crosses the DDR-T bus (the ctrl pipe). A read-buffer hit
+    costs the buffer-hit latency and refreshes the XPLine's LRU slot. A
+    miss queues a 256 B media transfer behind the bus transfer (read
+    amplification) and inserts the XPLine, evicting the least recent
+    one when full; an evicted XPLine that served only its triggering
+    access counts as ``buffer_evictions_unused`` (its implicit load was
+    wasted). Prefetch fills that miss complete at ``media_latency *
+    prefetch_latency_factor``; their ``demand_latency`` is what a
+    promoted demand would pay.
+    """
 
     def __init__(self, config: PMConfig, counters: Counters):
         self.config = config
@@ -99,29 +132,57 @@ class PMBackend:
         self.media_pipe = _Pipe(config.media_read_bw_gbps)
         self.write_pipe = _Pipe(config.write_bw_gbps)
         self.read_buffer = PMReadBuffer(
-            config.buffer_capacity_lines, config.xpline_bytes, counters)
+            config.buffer_capacity_lines, config.xpline_bytes)
         self.mlp = config.mlp
+        self.fill_line = self._bind_fill_line()
 
-    def fill_line(self, addr: int, now: float, demand: bool) -> tuple[float, float, float]:
-        """Serve a 64 B read; returns (queue_delay, latency, demand_latency).
+    def _bind_fill_line(self):
+        cfg = self.config
+        counters = self.counters
+        ctrl_pipe = self.ctrl_pipe
+        media_pipe = self.media_pipe
+        read_buffer = self.read_buffer
+        capacity = read_buffer.capacity
+        xpline_bytes = cfg.xpline_bytes
+        ctrl_step = LINE_BYTES * ctrl_pipe.ns_per_byte
+        media_step = xpline_bytes * media_pipe.ns_per_byte
+        hit_ns = cfg.buffer_hit_latency_ns
+        media_ns = cfg.media_latency_ns
+        media_pf_ns = media_ns * cfg.prefetch_latency_factor
 
-        Buffer hit: DDR-T transfer only. Miss: a 256 B media fill is
-        charged (read amplification) and the XPLine becomes resident.
-        Prefetch fills complete at deprioritized latency; their
-        ``demand_latency`` records what a promoted demand would pay.
-        """
-        c = self.config
-        self.counters.ctrl_read_bytes += LINE_BYTES
-        qd = self.ctrl_pipe.acquire(now, LINE_BYTES)
-        if self.read_buffer.access(addr):
-            return qd, c.buffer_hit_latency_ns, c.buffer_hit_latency_ns
-        media_qd = self.media_pipe.acquire(now + qd, c.xpline_bytes)
-        self.counters.media_read_bytes += c.xpline_bytes
-        self.read_buffer.fill(addr)
-        latency = c.media_latency_ns
-        if not demand:
-            latency *= c.prefetch_latency_factor
-        return qd + media_qd, latency, c.media_latency_ns
+        def fill_line(addr: int, now: float,
+                      demand: bool) -> tuple[float, float, float]:
+            counters.ctrl_read_bytes += LINE_BYTES
+            start = ctrl_pipe.free_at
+            if start < now:
+                start = now
+            ctrl_pipe.free_at = start + ctrl_step
+            qd = start - now
+            xp = addr // xpline_bytes
+            # Looked up per call: fast-forward's relabel rebinds it.
+            entries = read_buffer._entries
+            if xp in entries:
+                entries[xp] += 1
+                entries.move_to_end(xp)
+                counters.buffer_hits += 1
+                return qd, hit_ns, hit_ns
+            counters.buffer_misses += 1
+            t = now + qd
+            mstart = media_pipe.free_at
+            if mstart < t:
+                mstart = t
+            media_pipe.free_at = mstart + media_step
+            counters.media_read_bytes += xpline_bytes
+            if len(entries) >= capacity:
+                _, used = entries.popitem(last=False)
+                counters.buffer_evictions += 1
+                if used <= 1:
+                    counters.buffer_evictions_unused += 1
+            entries[xp] = 1
+            return (qd + (mstart - t), media_ns if demand else media_pf_ns,
+                    media_ns)
+
+        return fill_line
 
     def write_line(self, addr: int, now: float) -> float:
         """Accept a 64 B non-temporal store; returns its queue delay."""

@@ -169,7 +169,3 @@ class HardwareConfig:
     def with_pm(self, **kwargs) -> "HardwareConfig":
         """Return a copy with PM fields replaced."""
         return replace(self, pm=replace(self.pm, **kwargs))
-
-    def with_dram(self, **kwargs) -> "HardwareConfig":
-        """Return a copy with DRAM fields replaced."""
-        return replace(self, dram=replace(self.dram, **kwargs))

@@ -6,17 +6,20 @@ whole surrounding XPLine into the buffer (an *implicit load*, paper
 §2.1/§4.3). The buffer is shared by all requesting cores, which is why
 high thread counts thrash it (Obs. 5): entries are evicted before their
 remaining lines are consumed, wasting media bandwidth.
+
+This class is the buffer's state only; the hit/miss/eviction logic and
+its accounting live in the PM backend's line fill
+(:class:`~repro.simulator.memory.PMBackend`), the one place a 64 B read
+touches the buffer.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.simulator.counters import Counters
-
 
 class PMReadBuffer:
-    """LRU buffer of XPLine addresses with thrash accounting.
+    """LRU buffer of XPLine addresses.
 
     Parameters
     ----------
@@ -24,55 +27,19 @@ class PMReadBuffer:
         Number of XPLines the buffer holds (default testbed: 384).
     xpline_bytes:
         XPLine size (256 B).
-    counters:
-        Shared counter sink for hit/miss/eviction events.
     """
 
-    def __init__(self, capacity_lines: int, xpline_bytes: int, counters: Counters):
+    def __init__(self, capacity_lines: int, xpline_bytes: int):
         if capacity_lines < 1:
             raise ValueError("read buffer needs at least one XPLine slot")
         self.capacity = capacity_lines
         self.xpline_bytes = xpline_bytes
-        self.counters = counters
         # xpline id -> number of 64 B accesses served since fill
         self._entries: OrderedDict[int, int] = OrderedDict()
 
     def xpline_of(self, addr: int) -> int:
         """XPLine id containing byte address ``addr``."""
         return addr // self.xpline_bytes
-
-    def access(self, addr: int) -> bool:
-        """Record a 64 B access; return True on buffer hit.
-
-        On a miss the caller is responsible for charging the media fill
-        (bandwidth + latency) and then calling :meth:`fill`.
-        """
-        xp = self.xpline_of(addr)
-        if xp in self._entries:
-            self._entries[xp] += 1
-            self._entries.move_to_end(xp)
-            self.counters.buffer_hits += 1
-            return True
-        self.counters.buffer_misses += 1
-        return False
-
-    def fill(self, addr: int) -> None:
-        """Insert the XPLine containing ``addr`` (after a media fetch)."""
-        xp = self.xpline_of(addr)
-        if xp in self._entries:
-            self._entries.move_to_end(xp)
-            return
-        if len(self._entries) >= self.capacity:
-            _, used = self._entries.popitem(last=False)
-            self.counters.buffer_evictions += 1
-            if used <= 1:
-                # Only the triggering access used it: the implicit load
-                # of the other 3 lines was wasted media bandwidth.
-                self.counters.buffer_evictions_unused += 1
-        self._entries[xp] = 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __contains__(self, addr: int) -> bool:
         return self.xpline_of(addr) in self._entries

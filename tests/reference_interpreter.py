@@ -1,16 +1,21 @@
 """Reference interpreter: the simulator's per-op semantics, spelled out.
 
-:meth:`repro.simulator.engine.ThreadContext.run` inlines the memory
-model into one loop for speed. This module states the same semantics
-readably, one op at a time, through the model methods themselves —
-``CoreCache.lookup/insert``, ``StreamPrefetcher.on_access`` and the
-backends' ``fill_line``/``write_line``/``drain_writes`` — and schedules
-threads with a plain ``(clock, index)`` heap, one op per turn.
+:meth:`repro.simulator.engine.ThreadContext.run` inlines the cache, the
+streamer and the store path into one loop for speed; its line fills
+are one call into the load backend's ``fill_line``. This module states
+the same semantics readably, one op at a time, through the model
+methods themselves — ``CoreCache.lookup/insert``,
+``StreamPrefetcher.on_access`` and the backends'
+``fill_line``/``write_line``/``drain_writes`` — and schedules threads
+with a plain ``(clock, index)`` heap, one op per turn.
 
 It is the oracle the interpreter is pinned to: every makespan, thread
 time and counter must agree exactly (``==``, not approximately), which
 holds only if both perform the same floating-point operations in the
-same order.
+same order. Both call the same ``fill_line``, so the oracle checks
+what ``run()`` does with a fill's ``(wait, latency, demand_latency)``,
+not the fill itself: ``tests/test_sim_engine.py`` pins the fill
+arithmetic with hand-computed values.
 """
 
 from __future__ import annotations

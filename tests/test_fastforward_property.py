@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simulator import Counters, CoreCache, HardwareConfig, simulate
 from repro.simulator.cache import DEMAND, HWPF, SWPF as SWPF_SRC
-from repro.simulator.params import CacheConfig
-from repro.simulator.readbuffer import PMReadBuffer
+from repro.simulator.memory import PMBackend
+from repro.simulator.params import CacheConfig, PMConfig
 from repro.simulator.streamprefetcher import StreamPrefetcher
 from repro.simulator.params import PrefetcherConfig
 from repro.trace.ops import COMPUTE, FENCE, LOAD, STORE, SWPF, Trace
@@ -157,11 +157,10 @@ def test_prefetcher_and_readbuffer_relabel_group_action(pages, a, b):
     assert p2.state_digest((a + b) * grain) == d0
 
     def build_rb():
-        rb = PMReadBuffer(32, 256, Counters())
+        pm = PMBackend(PMConfig(read_buffer_kb=8), Counters())  # 32 XPLines
         for page in pages:
-            if not rb.access(page * 256):
-                rb.fill(page * 256)
-        return rb
+            pm.fill_line(page * 256, 0.0, True)
+        return pm.read_buffer
 
     r1 = build_rb()
     rd0 = r1.state_digest(0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import HillClimber, eq1_max_distance, static_shuffle_mapping
 from repro.core.operator import verify_shuffle_defeats_streamer
 from repro.simulator import (
-    Counters, HardwareConfig, PMReadBuffer, StreamPrefetcher, simulate,
+    Counters, HardwareConfig, PMBackend, StreamPrefetcher, simulate,
 )
 from repro.simulator.params import PMConfig, PrefetcherConfig
 from repro.trace.layout import StripeLayout
@@ -35,11 +35,11 @@ def test_prefetcher_never_prefetches_backwards_or_past_page(lines):
 @settings(max_examples=30, deadline=None)
 def test_readbuffer_never_exceeds_capacity(addrs, cap):
     c = Counters()
-    rb = PMReadBuffer(cap, 256, c)
+    # 1 KB XPLines, so a ``cap`` KB buffer holds ``cap`` of them.
+    pm = PMBackend(PMConfig(read_buffer_kb=cap, xpline_bytes=1024), c)
     for a in addrs:
-        if not rb.access(a * 64):
-            rb.fill(a * 64)
-        assert len(rb) <= cap
+        pm.fill_line(a * 64, 0.0, True)
+        assert len(pm.read_buffer._entries) <= cap
     # conservation: every miss either filled or was already resident
     assert c.buffer_hits + c.buffer_misses == len(addrs)
 

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.simulator import Counters, CoreCache, PMReadBuffer, StreamPrefetcher
+from repro.simulator import (
+    Counters, CoreCache, PMBackend, PMReadBuffer, StreamPrefetcher,
+)
 from repro.simulator.cache import DEMAND, HWPF, SWPF
-from repro.simulator.params import PrefetcherConfig
+from repro.simulator.params import PMConfig, PrefetcherConfig
 
 
 # -- CoreCache --------------------------------------------------------------
@@ -157,51 +159,61 @@ def test_prefetcher_reset():
 
 # -- PMReadBuffer -------------------------------------------------------------
 
-def test_readbuffer_hit_after_fill():
+#: A PM backend whose read buffer holds 1 KB / 256 B = 4 XPLines; the
+#: buffer's logic lives in its line fill.
+_RB_PM = PMConfig(read_buffer_kb=1)
+
+
+def _rb_backend():
     c = Counters()
-    rb = PMReadBuffer(4, 256, c)
-    assert not rb.access(0)
-    rb.fill(0)
-    assert rb.access(64)   # same XPLine
-    assert not rb.access(256)  # next XPLine
+    return PMBackend(_RB_PM, c), c
+
+
+def _hit(p, addr):
+    """Read one line; True when it is served at buffer-hit latency."""
+    return p.fill_line(addr, 0.0, True)[1] == _RB_PM.buffer_hit_latency_ns
+
+
+def test_readbuffer_hit_after_fill():
+    p, c = _rb_backend()
+    assert not _hit(p, 0)
+    assert _hit(p, 64)      # same XPLine
+    assert not _hit(p, 256)  # next XPLine
     assert c.buffer_hits == 1
     assert c.buffer_misses == 2
 
 
 def test_readbuffer_thrash_counting():
-    c = Counters()
-    rb = PMReadBuffer(2, 256, c)
-    rb.fill(0)
-    rb.fill(256)
-    rb.fill(512)  # evicts XPLine 0, which was used once (fill only)
+    p, c = _rb_backend()
+    for xp in range(5):     # the fifth evicts XPLine 0, read once
+        _hit(p, xp * 256)
     assert c.buffer_evictions == 1
     assert c.buffer_evictions_unused == 1
 
 
 def test_readbuffer_used_eviction_not_thrash():
-    c = Counters()
-    rb = PMReadBuffer(1, 256, c)
-    rb.fill(0)
-    rb.access(64)  # hit -> used twice
-    rb.fill(256)
+    p, c = _rb_backend()
+    _hit(p, 0)
+    _hit(p, 64)             # hit -> used twice
+    for xp in range(1, 5):  # the fourth evicts XPLine 0
+        _hit(p, xp * 256)
     assert c.buffer_evictions == 1
     assert c.buffer_evictions_unused == 0
 
 
 def test_readbuffer_lru_refresh_on_hit():
-    c = Counters()
-    rb = PMReadBuffer(2, 256, c)
-    rb.fill(0)
-    rb.fill(256)
-    rb.access(0)      # refresh XPLine 0
-    rb.fill(512)      # should evict XPLine 1 (LRU), not 0
-    assert rb.access(0)
-    assert not rb.access(256)
+    p, _ = _rb_backend()
+    for xp in range(4):
+        _hit(p, xp * 256)
+    _hit(p, 0)              # refresh XPLine 0
+    _hit(p, 4 * 256)        # should evict XPLine 1 (LRU), not 0
+    assert _hit(p, 0)
+    assert not _hit(p, 256)
 
 
 def test_readbuffer_capacity_validation():
     with pytest.raises(ValueError):
-        PMReadBuffer(0, 256, Counters())
+        PMReadBuffer(0, 256)
 
 
 # -- Counters ------------------------------------------------------------------

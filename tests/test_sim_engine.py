@@ -9,6 +9,7 @@ from repro.simulator import (
     PMBackend,
     simulate,
 )
+from repro.simulator.params import DRAMConfig, PMConfig
 from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace
 
 from tests.reference_interpreter import assert_identical, reference_simulate
@@ -31,25 +32,82 @@ def test_dram_fill_latency_and_traffic():
     assert c.ctrl_read_bytes == 64
 
 
-def test_dram_bandwidth_queueing():
-    c = Counters()
-    d = DRAMBackend(HW.dram, c)
-    # Saturate the pipe with back-to-back same-time requests.
-    delays = [d.fill_line(i * 64, 0.0, demand=True)[0] for i in range(10)]
-    assert delays[0] == 0.0
-    assert delays[-1] > delays[1] > 0.0
+#: Fill-oracle configs, spelled out so the expected values below do not
+#: move with the defaults. Pipe steps: DDR-T 64 B * (1/40) = 1.6 ns,
+#: media 256 B * (1/14) = 18.285714285714285 ns, DRAM read 64 B *
+#: (1/75) = 0.8533333333333334 ns. The PM read buffer holds 1 KB / 256 B
+#: = 4 XPLines.
+ORACLE_PM = PMConfig(media_latency_ns=350.0, buffer_hit_latency_ns=160.0,
+                     xpline_bytes=256, read_buffer_kb=1,
+                     media_read_bw_gbps=14.0, ctrl_bw_gbps=40.0,
+                     prefetch_latency_factor=2.0)
+ORACLE_DRAM = DRAMConfig(latency_ns=80.0, read_bw_gbps=75.0)
+
+#: (latency, demand_latency) of a PM demand miss, prefetch miss and hit.
+MISS, PF_MISS, HIT = (350.0, 350.0), (700.0, 350.0), (160.0, 160.0)
 
 
-def test_pm_fill_miss_then_buffer_hit():
+@pytest.mark.parametrize("calls", [
+    # All at t=0: each read waits for the ones before it.
+    [(0.0, True, 0.0), (0.0, True, 0.8533333333333334),
+     (0.0, False, 1.7066666666666668), (0.0, True, 2.56)],
+    # 0.1 + step - 0.3, then 0.1 + 2 steps - 0.3; an idle gap drains
+    # the pipe.
+    [(0.1, True, 0.0), (0.3, True, 0.6533333333333333),
+     (0.3, False, 1.5066666666666666), (5.0, True, 0.0)],
+], ids=["back-to-back", "offset"])
+def test_dram_bandwidth_queueing(calls):
+    """Exact read-pipe queue delays; DRAM latency ignores priority."""
     c = Counters()
-    p = PMBackend(HW.pm, c)
-    _, lat1, _ = p.fill_line(0, 0.0, demand=True)
-    assert lat1 == HW.pm.media_latency_ns
-    _, lat2, dlat2 = p.fill_line(64, 1000.0, demand=True)  # same XPLine
-    assert dlat2 == lat2
-    assert lat2 == HW.pm.buffer_hit_latency_ns
-    assert c.media_read_bytes == 256
-    assert c.ctrl_read_bytes == 128
+    d = DRAMBackend(ORACLE_DRAM, c)
+    for i, (now, demand, wait) in enumerate(calls):
+        assert d.fill_line(i * 64, now, demand) == (wait, 80.0, 80.0)
+    assert c.ctrl_read_bytes == 64 * len(calls)
+
+
+@pytest.mark.parametrize("calls,counts", [
+    # Cold miss, then a later read of the same XPLine hits the buffer.
+    ([(0, 0.0, True, 0.0, MISS), (64, 1000.0, True, 0.0, HIT)],
+     dict(media_read_bytes=256, buffer_hits=1, buffer_misses=1)),
+    # DDR-T queueing on buffer hits: 1.6 - 0.5, then 3.2 - 0.5. A
+    # prefetch that hits pays the hit latency, not the prefetch factor.
+    ([(0, 0.0, True, 0.0, MISS), (64, 0.5, True, 1.1, HIT),
+      (128, 0.5, False, 2.7, HIT)],
+     dict(media_read_bytes=256, buffer_hits=2, buffer_misses=1)),
+    # Media queueing behind the DDR-T transfer: the media pipe is taken
+    # at t = now + qd, and wait = qd + (media start - t). The third
+    # read's wait rounds differently if t is the bus start or if the
+    # adds are regrouped.
+    ([(0, 0.1, True, 0.0, MISS), (256, 0.1, True, 18.28571428571429, MISS),
+      (512, 0.7, False, 35.97142857142857, PF_MISS),
+      (64, 0.7, True, 4.2, HIT)],
+     dict(media_read_bytes=768, buffer_hits=1, buffer_misses=3)),
+    # A prefetch miss completes at media latency x factor; a promoted
+    # demand would pay the plain media latency.
+    ([(0, 0.0, False, 0.0, PF_MISS), (64, 1000.0, False, 0.0, HIT)],
+     dict(media_read_bytes=256, buffer_hits=1, buffer_misses=1)),
+    # LRU over 4 XPLines, reads 1 us apart (no queueing). Hits refresh:
+    # XPLine 0 goes first (unused), then 3 (unused), then 1 (read
+    # twice: not unused); 2 survives; re-reading 1 misses and evicts 4.
+    ([(0, 0.0, True, 0.0, MISS), (256, 1000.0, True, 0.0, MISS),
+      (512, 2000.0, True, 0.0, MISS), (768, 3000.0, True, 0.0, MISS),
+      (320, 4000.0, True, 0.0, HIT), (1024, 5000.0, True, 0.0, MISS),
+      (640, 6000.0, True, 0.0, HIT), (1280, 7000.0, True, 0.0, MISS),
+      (1536, 8000.0, True, 0.0, MISS), (704, 9000.0, True, 0.0, HIT),
+      (256, 10000.0, True, 0.0, MISS)],
+     dict(media_read_bytes=2048, buffer_hits=3, buffer_misses=8,
+          buffer_evictions=4, buffer_evictions_unused=3)),
+], ids=["miss-then-hit", "ctrl-queue", "media-queue", "prefetch-factor",
+        "lru-evict-unused"])
+def test_pm_fill_miss_then_buffer_hit(calls, counts):
+    """Exact ``(wait, latency, demand_latency)`` of every PM fill."""
+    c = Counters()
+    p = PMBackend(ORACLE_PM, c)
+    for addr, now, demand, wait, (lat, dlat) in calls:
+        assert p.fill_line(addr, now, demand) == (wait, lat, dlat)
+    expected = {"buffer_evictions": 0, "buffer_evictions_unused": 0,
+                "ctrl_read_bytes": 64 * len(calls), **counts}
+    assert {k: getattr(c, k) for k in expected} == expected
 
 
 def test_pm_write_and_drain():
@@ -119,6 +177,22 @@ def test_swpf_late_partial_stall():
     assert c.swpf_late == 1
     limit = HW.pm.media_latency_ns * HW.pm.prefetch_latency_factor
     assert 0 < c.load_stall_ns < limit
+
+
+@pytest.mark.parametrize("source,lead", [("pm", 6), ("dram", 4)])
+def test_late_swpf_arrival_order_matches_reference(source, lead):
+    """A queued prefetch arrives at ``(issue + wait) + latency``.
+
+    The second SWPF queues behind the first, and the load lands inside
+    the promotion window, so it stalls for exactly the residual time.
+    With these leads, ``issue + (wait + latency)`` rounds differently.
+    """
+    ops = [(COMPUTE, lead), (SWPF, 0), (SWPF, 4096),
+           (COMPUTE, 2300 if source == "pm" else 230), (LOAD, 4096)]
+    hw = HW.with_(load_source=source)
+    res = simulate(_trace(ops), hw, fastforward=False)
+    assert res.counters.load_late_prefetch == 1
+    assert_identical(res, reference_simulate([_trace(ops)], hw))
 
 
 def test_hw_prefetch_issue_and_useful():
