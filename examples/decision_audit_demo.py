@@ -10,20 +10,13 @@ Runs one high-pressure adaptive encode (the fig-10 regime where the
 2. replays every decision window under every candidate policy through
    the cached ``repro.simulate()`` facade (the counterfactual oracle)
    and prints per-decision regret plus the episode's
-   oracle-normalized score;
-3. appends the episode's score to a benchmark history ledger and runs
-   the rolling-baseline regression check over it.
+   oracle-normalized score.
 
 Run:  python examples/decision_audit_demo.py
 """
 
-import os
-import tempfile
-
 from repro import DialgaConfig, DialgaEncoder, HardwareConfig, Workload
 from repro.obs import (
-    BenchHistory,
-    detect_regressions,
     ledger_from_coordinator,
     replay_decisions,
 )
@@ -59,21 +52,4 @@ print(f"   (replay cache: {report.cache_stats['hits']} hits, "
       f"{report.cache_stats['misses']} misses — candidate windows "
       "recur, so the oracle is nearly free)\n")
 
-# ------------------------------------------- 3. the regression gate
-print("3. the perf trajectory: history ledger + rolling-baseline gate")
-with tempfile.TemporaryDirectory() as tmp:
-    history = BenchHistory(os.path.join(tmp, "BENCH_history.jsonl"))
-    for run in range(3):  # three healthy runs seed the baseline
-        history.append("demo:audit", {
-            "oracle_score": report.oracle_score,
-            "regret_ns_per_byte": report.total_regret_ns_per_byte})
-    print("   " + detect_regressions(history).render().replace("\n", "\n   "))
-    # Inject a slowdown: the gate speaks the coordinator's language.
-    history.append("demo:audit", {
-        "oracle_score": report.oracle_score / 2.0,
-        "regret_ns_per_byte": report.total_regret_ns_per_byte})
-    gated = detect_regressions(history)
-    print("   after an injected 2x oracle-score drop:")
-    print("   " + gated.render().replace("\n", "\n   "))
-    assert not gated.clean
-print("\ndone: decisions audited, regret scored, trajectory gated")
+print("done: decisions audited, regret scored")

@@ -11,14 +11,20 @@ echo "== unit / property / integration tests =="
 # pyproject.toml turns every DeprecationWarning into an error here.
 python -m pytest tests/ 2>&1 | tee test_output.txt
 
-echo "== hostbench job (own tests + pinned-digest checks) =="
-# The sweep_1t and scale_mt workloads check every simulation they run
-# against hostbench/digests.json and exit non-zero on any mismatch, so
-# single-thread (fast-forward included) and multicore byte-identity is
-# gated here, not only by figure reruns.
+echo "== hostbench job (own tests + pinned digests + host-time gate) =="
+# Each gate call runs hostbench/run.py, which checks every simulation
+# against hostbench/digests.json and exits non-zero on any mismatch or
+# failed operation, so single-thread (fast-forward included), multicore
+# and service byte-identity is gated here, not only by figure reruns.
+# The gate times the change against its parent commit in the same job
+# (5 alternating runs each), appends every result line to
+# BENCH_history.jsonl and fails when a metric is worse than the
+# parent's by more than both its BENCHMARK.json bound and 3x the
+# parent runs' IQR/median.
 python3 -m pytest hostbench -q
-python3 hostbench/run.py --workload sweep_1t --seed 0 --seconds 1 --trace 0
-python3 hostbench/run.py --workload scale_mt --seed 0 --seconds 1 --trace 0
+for w in sweep_1t scale_mt service_mix; do
+    python3 scripts/check_regression.py --workload "$w" --seed 0 --seconds 1
+done
 
 echo "== lint (ruff, skipped when unavailable) =="
 if command -v ruff >/dev/null 2>&1; then
@@ -47,17 +53,10 @@ python scripts/check_trace.py audit_trace.json \
     --require decision.evaluated \
     --require decision.switch
 
-echo "== bench sweep smoke job (parallel ≡ serial ≡ warm, perf baseline) =="
+echo "== bench sweep smoke job (parallel ≡ serial ≡ warm) =="
 # The smoke grid runs serial, parallel (--workers 2) and warm-cache and
-# exits non-zero unless all three produce bit-identical results; the
-# report doubles as the parallel-speedup perf baseline.
-python -m repro.bench sweep --grid smoke --workers 2 --json BENCH_sweep.json
-
-echo "== perf-regression gate (rolling baseline over BENCH_history.jsonl) =="
-# Every bench invocation above appended to the history ledger; the gate
-# fails when any gated metric of the latest entries exceeds 150% of its
-# rolling baseline (warns past 110% — the coordinator's own thresholds).
-python scripts/check_regression.py
+# exits non-zero unless all three produce bit-identical results.
+python -m repro.bench sweep --grid smoke --workers 2
 
 echo "== overload smoke job (graceful degradation, byte-identical reruns) =="
 # The overload scenario's own shape checks pin the acceptance triple:
@@ -67,7 +66,7 @@ echo "== overload smoke job (graceful degradation, byte-identical reruns) =="
 # invocations and emit the overload.* trace events.
 python -m repro.bench overload --seed 0 --out overload_run_a \
     --trace overload_trace.json
-python -m repro.bench overload --seed 0 --out overload_run_b --no-history
+python -m repro.bench overload --seed 0 --out overload_run_b
 diff overload_run_a/overload_scenario.txt overload_run_b/overload_scenario.txt
 python scripts/check_trace.py overload_trace.json \
     --require overload.shed \
@@ -84,7 +83,7 @@ echo "== fastforward smoke job (exact steady-state skip, >=5x speedup) =="
 # of timing details) and the simulated skip/jump counts.
 python -m repro.bench fastforward --seed 0 --out ff_run_a \
     --trace ff_trace.json
-python -m repro.bench fastforward --seed 0 --out ff_run_b --no-history
+python -m repro.bench fastforward --seed 0 --out ff_run_b
 for d in ff_run_a ff_run_b; do
     sed -E -n 's/ \[[^]]*\]$//; /\[(PASS|FAIL)\]/p' \
         "$d/fastforward_scenario.txt" > "$d/verdicts.txt"
@@ -114,10 +113,9 @@ echo "== slow campaigns (soak tests deselected from tier-1) =="
 python -m pytest tests/ -m slow 2>&1 | tee slow_output.txt
 
 echo "== figure and ablation experiments (writes benchmarks/results/) =="
-# Exits non-zero unless every shape check passes. --no-history keeps
-# these reruns out of the perf-regression ledger.
+# Exits non-zero unless every shape check passes.
 ids=$(python -c 'from repro.bench.figures import ALL_FIGURES; from repro.bench.ablations import ALL_ABLATIONS; print(*ALL_FIGURES, *ALL_ABLATIONS)')
-python -m repro.bench $ids --out benchmarks/results --json --no-history \
+python -m repro.bench $ids --out benchmarks/results --json \
     2>&1 | tee bench_output.txt
 
 echo "== paper-vs-measured report (renders the JSON, no simulation) =="

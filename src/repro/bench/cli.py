@@ -79,10 +79,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="cProfile each experiment and print the "
                              "top-20 cumulative hotspots (with --out, "
                              "also dump <id>.prof for snakeviz/pstats)")
-    parser.add_argument("--no-history", action="store_true",
-                        help="skip appending this run to the benchmark "
-                             "history ledger (BENCH_history.jsonl or "
-                             "$REPRO_BENCH_HISTORY)")
     args = parser.parse_args(argv)
 
     table = _experiments()
@@ -129,16 +125,6 @@ def main(argv: list[str] | None = None) -> int:
                     profiler.disable()
             if mark is not None:
                 mark.end(tracer.max_ts)
-            if not args.no_history:
-                # Every runner invocation extends the perf trajectory the
-                # regression gate (scripts/check_regression.py) compares
-                # against.
-                from repro.obs.regress import BenchHistory
-                metrics = result.history_metrics()
-                metrics["wall_s"] = time.time() - t0
-                BenchHistory().append(
-                    f"bench:{name}", metrics,
-                    meta={"seed": args.seed, "volume": args.volume})
             text = result.render()
             if args.plot:
                 from repro.bench.plotting import ascii_chart

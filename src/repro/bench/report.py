@@ -119,23 +119,6 @@ class FigureResult:
                    checks=[Check(**c) for c in data["checks"]],
                    notes=list(data["notes"]))
 
-    def history_metrics(self) -> dict:
-        """Gateable numbers for the ``BENCH_history.jsonl`` ledger.
-
-        Column means across rows (only cells that are plain numbers,
-        skipping bools) plus the shape-check ``pass_fraction`` — the
-        regression gate in :mod:`repro.obs.regress` compares these
-        against each experiment's rolling baseline.
-        """
-        metrics: dict = {"pass_fraction": self.pass_fraction}
-        for column in self.columns:
-            values = [v for v in self.series(column)
-                      if isinstance(v, (int, float))
-                      and not isinstance(v, bool)]
-            if values:
-                metrics[f"mean_{column}"] = sum(values) / len(values)
-        return metrics
-
     def to_csv(self) -> str:
         """The measured series as CSV (header + one line per point)."""
         import csv

@@ -3,9 +3,9 @@
 Runs one declarative :class:`~repro.parallel.SweepSpec` three ways —
 serial cold, parallel cold (``--workers N``), and warm from a
 content-addressed cache — asserts all three produce bit-identical
-results, and reports the wall-clocks. The JSON payload doubles as the
-repo's parallel-speedup perf baseline (``BENCH_sweep.json``, written
-by ``scripts/run_all.sh``).
+results, and reports the wall-clocks. The bit-identity check is a
+correctness contract (a divergence exits 1); the wall-clocks are one
+unrepeated sample each, informational only.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def benchmark_sweep(spec: SweepSpec, workers: int = 2,
 
     Returns a JSON-able report: the three wall-clocks, the speedups,
     the bit-identity verdicts, and a content fingerprint of the result
-    payload (so perf baselines also pin the *numbers*).
+    payload.
     """
     cache = cache or ContentCache()
 
@@ -151,37 +151,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--disk-cache", action="store_true",
                         help="persist the content cache under "
                              "~/.cache/repro (REPRO_CACHE_DIR)")
-    parser.add_argument("--no-history", action="store_true",
-                        help="skip appending this run to the benchmark "
-                             "history ledger (BENCH_history.jsonl or "
-                             "$REPRO_BENCH_HISTORY)")
     args = parser.parse_args(argv)
 
     spec = GRIDS[args.grid](args.volume)
     cache = ContentCache(disk=args.disk_cache)
     report = benchmark_sweep(spec, workers=args.workers, cache=cache)
     print(render_report(report))
-
-    if not args.no_history:
-        from repro.obs.regress import BenchHistory
-        metrics = {"serial_s": report["serial_s"],
-                   "warm_s": report["warm_s"],
-                   "speedup_warm": report["speedup_warm"]}
-        meta = {"cells": report["grid"]["cells"],
-                "workers": report["workers"],
-                "cpus": report["cpus"],
-                "result_digest": report["result_digest"]}
-        if (report["cpus"] or 0) >= 2:
-            metrics["parallel_s"] = report["parallel_s"]
-            metrics["speedup_parallel"] = report["speedup_parallel"]
-        else:
-            # A 1-CPU runner makes the pool pure overhead; record the
-            # numbers as context, not as gated perf metrics (the
-            # regression gate also skips *parallel* metrics when the
-            # entry's meta says cpus < 2 — belt and braces).
-            meta["parallel_s"] = report["parallel_s"]
-            meta["speedup_parallel"] = report["speedup_parallel"]
-        BenchHistory().append(f"sweep:{args.grid}", metrics, meta=meta)
 
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)

@@ -389,8 +389,8 @@ def retry_storm_overload(seed: int = 0) -> Campaign:
 
 #: Overload-control campaigns (separate library: these are meant to run
 #: with ``ServiceConfig.overload`` set, and keeping them out of
-#: :data:`CANNED_CAMPAIGNS` leaves the classic chaos bench scenario —
-#: and its regression-gated history metrics — untouched).
+#: :data:`CANNED_CAMPAIGNS` leaves the classic chaos bench scenario
+#: and its shape checks untouched).
 OVERLOAD_CAMPAIGNS = {
     "flash_crowd": flash_crowd,
     "slow_device_tail": slow_device_tail,

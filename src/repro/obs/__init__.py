@@ -39,7 +39,7 @@ from repro.obs.tracer import (
     use_tracer,
 )
 
-# Decision-audit / replay / regression symbols resolve lazily (PEP 562):
+# Decision-audit / replay symbols resolve lazily (PEP 562):
 # their modules import the simulator and core layers, which themselves
 # import repro.obs — eager imports here would cycle.
 _LAZY = {
@@ -49,12 +49,6 @@ _LAZY = {
     "DecisionRegret": "repro.obs.replay",
     "RegretReport": "repro.obs.replay",
     "replay_decisions": "repro.obs.replay",
-    "BenchHistory": "repro.obs.regress",
-    "RegressionFlag": "repro.obs.regress",
-    "RegressionReport": "repro.obs.regress",
-    "detect_regressions": "repro.obs.regress",
-    "history_path": "repro.obs.regress",
-    "metric_direction": "repro.obs.regress",
 }
 
 
@@ -88,17 +82,11 @@ __all__ = [
     "check_spans",
     "check_containment",
     "assert_well_formed",
-    # lazy (PEP 562) — decision audit, counterfactual replay, regression gate
+    # lazy (PEP 562) — decision audit, counterfactual replay
     "DecisionLedger",
     "DecisionRecord",
     "ledger_from_coordinator",
     "DecisionRegret",
     "RegretReport",
     "replay_decisions",
-    "BenchHistory",
-    "RegressionFlag",
-    "RegressionReport",
-    "detect_regressions",
-    "history_path",
-    "metric_direction",
 ]

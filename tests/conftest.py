@@ -4,10 +4,6 @@ Registers a deterministic hypothesis profile: simulation-backed
 properties have runtimes that vary with the drawn workload, so the
 default 200 ms deadline would flake; example counts stay moderate to
 keep the suite fast.
-
-Also redirects the benchmark history ledger: bench CLI invocations
-under test must never append to the repo's committed
-``BENCH_history.jsonl``.
 """
 
 import pytest
@@ -17,11 +13,6 @@ from hypothesis import HealthCheck, settings
 # asserts so a mismatch reports both values.
 pytest.register_assert_rewrite("tests.reference_interpreter")
 
-
-@pytest.fixture(autouse=True)
-def _isolated_bench_history(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_HISTORY",
-                       str(tmp_path / "BENCH_history.jsonl"))
 
 settings.register_profile(
     "repro",

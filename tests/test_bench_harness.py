@@ -112,3 +112,11 @@ def test_cli_runs_one_experiment(capsys, tmp_path):
     assert rc == 0
     assert (tmp_path / "fig03.txt").exists()
     assert "fig03" in capsys.readouterr().out
+
+
+def test_cli_writes_only_its_targets(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["fig03", "--out", "out", "--volume", "32768"]) == 0
+    written = sorted(p.relative_to(tmp_path).as_posix()
+                     for p in tmp_path.rglob("*"))
+    assert written == ["out", "out/fig03.txt"]

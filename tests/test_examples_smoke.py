@@ -56,8 +56,7 @@ def test_decision_audit_demo_example():
     out = _run("decision_audit_demo.py")
     assert "SWITCH" in out
     assert "oracle-normalized score" in out
-    assert "inefficient-prefetcher-grade" in out
-    assert "trajectory gated" in out
+    assert "done: decisions audited, regret scored" in out
 
 
 def test_fault_tolerance_drill_example():

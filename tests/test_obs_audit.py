@@ -1,8 +1,6 @@
-"""Decision ledger, counterfactual replay and the regression gate."""
+"""Decision ledger and counterfactual replay."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -10,13 +8,9 @@ from repro import HardwareConfig, Workload
 from repro.core import AdaptiveCoordinator
 from repro.core.dialga import DialgaConfig, DialgaEncoder
 from repro.obs import (
-    BenchHistory,
     DecisionLedger,
     Tracer,
-    detect_regressions,
-    history_path,
     ledger_from_coordinator,
-    metric_direction,
     replay_decisions,
     use_tracer,
 )
@@ -231,156 +225,6 @@ def test_service_emits_decision_events_on_the_request_timeline():
     # Decisions are rebased onto the service clock: inside the batch.
     assert all(batch_spans[0].start_ns <= e.ts_ns <= batch_spans[-1].end_ns
                for e in evaluated)
-
-
-# -- regression gate -------------------------------------------------------
-
-
-class TestMetricDirection:
-    def test_lower_is_better(self):
-        for name in ("wall_s", "serial_s", "makespan_ns", "p99_latency_us",
-                     "mean_regret_ns_per_byte"):
-            assert metric_direction(name) == "lower"
-
-    def test_higher_is_better(self):
-        for name in ("throughput_gbps", "speedup_warm", "oracle_score",
-                     "pass_fraction"):
-            assert metric_direction(name) == "higher"
-
-    def test_ungated(self):
-        for name in ("cells", "workers", "mean_switches"):
-            assert metric_direction(name) is None
-
-
-class TestBenchHistory:
-    def test_append_and_read(self, tmp_path):
-        hist = BenchHistory(tmp_path / "h.jsonl")
-        hist.append("bench:a", {"wall_s": 1.0, "note": "skipped"},
-                    meta={"seed": 0})
-        hist.append("bench:b", {"wall_s": 2.0})
-        assert hist.runs() == ["bench:a", "bench:b"]
-        (entry,) = hist.entries("bench:a")
-        assert entry["metrics"] == {"wall_s": 1.0}  # non-numeric dropped
-        assert entry["meta"] == {"seed": 0}
-
-    def test_entries_skip_garbage_lines(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        hist = BenchHistory(path)
-        hist.append("bench:a", {"wall_s": 1.0})
-        with path.open("a") as fh:
-            fh.write("not json\n{\"no_run\": 1}\n")
-        hist.append("bench:a", {"wall_s": 1.1})
-        assert len(hist.entries("bench:a")) == 2
-
-    def test_env_var_redirects_default_path(self, tmp_path, monkeypatch):
-        target = tmp_path / "redirected.jsonl"
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(target))
-        assert history_path() == target
-        BenchHistory().append("bench:a", {"wall_s": 1.0})
-        assert target.exists()
-
-
-class TestDetectRegressions:
-    def _history(self, tmp_path, values, metric="wall_s", run="bench:a"):
-        hist = BenchHistory(tmp_path / "h.jsonl")
-        for v in values:
-            hist.append(run, {metric: v}, ts="2026-08-07T00:00:00+00:00")
-        return hist
-
-    def test_clean_history_passes(self, tmp_path):
-        report = detect_regressions(self._history(tmp_path, [10.0, 10.1, 9.9]))
-        assert report.clean and not report.flags
-        assert report.compared == 1
-
-    def test_exactly_at_110_percent_does_not_warn(self, tmp_path):
-        # Strict >: ratio == warn factor stays clean (matches
-        # perf_report's 110% flag semantics).
-        hist = self._history(tmp_path, [10.0, 10.0, 10.0])
-        assert detect_regressions(hist, warn_factor=1.10).clean
-        hist.append("bench:a", {"wall_s": 11.0})
-        assert not detect_regressions(hist, warn_factor=1.10).flags
-        hist.append("bench:a", {"wall_s": 11.001})
-        flags = detect_regressions(hist, warn_factor=1.10).flags
-        assert [f.severity for f in flags] == ["warn"]
-
-    def test_exactly_at_150_percent_warns_but_does_not_fail(self, tmp_path):
-        hist = self._history(tmp_path, [10.0, 10.0])
-        hist.append("bench:a", {"wall_s": 15.0})
-        report = detect_regressions(hist)
-        assert report.warnings and not report.failures and report.clean
-        hist.append("bench:a", {"wall_s": 15.0})  # median now 10.0 again
-        hist = self._history(tmp_path / "b", [10.0, 10.0])
-        hist.append("bench:a", {"wall_s": 15.001})
-        report = detect_regressions(hist)
-        assert report.failures and not report.clean
-        assert "150%" in report.failures[0].describe()
-
-    def test_higher_is_better_direction(self, tmp_path):
-        hist = self._history(tmp_path, [2.0, 2.0, 0.9],
-                             metric="speedup_warm")
-        report = detect_regressions(hist)
-        assert report.failures
-        assert report.failures[0].ratio == pytest.approx(2.0 / 0.9)
-
-    def test_improvement_never_flags(self, tmp_path):
-        hist = self._history(tmp_path, [10.0, 10.0, 2.0])
-        assert detect_regressions(hist).clean
-
-    def test_first_entry_seeds_baseline(self, tmp_path):
-        report = detect_regressions(self._history(tmp_path, [10.0]))
-        assert report.unseeded == ["bench:a"]
-        assert report.compared == 0 and report.clean
-        assert "baseline seeded" in report.render()
-
-    def test_median_baseline_resists_one_outlier(self, tmp_path):
-        hist = self._history(tmp_path, [10.0, 10.0, 100.0, 10.0, 10.2])
-        assert detect_regressions(hist).clean
-
-    def test_rolling_window_limits_lookback(self, tmp_path):
-        # Old fast entries age out of the window: no flag.
-        hist = self._history(tmp_path, [1.0, 1.0, 20.0, 20.0, 20.0, 20.0,
-                                        20.0, 20.5])
-        assert detect_regressions(hist, window=5).clean
-
-
-class TestFigureHistoryMetrics:
-    def test_history_metrics_are_gateable_numbers(self):
-        from repro.bench.report import FigureResult
-        fig = FigureResult("f", "t", ["tput_gbps", "tag", "ok"])
-        fig.add_row("a", tput_gbps=2.0, tag="x", ok=True)
-        fig.add_row("b", tput_gbps=4.0, tag="y", ok=False)
-        fig.check("c1", True)
-        fig.check("c2", False)
-        metrics = fig.history_metrics()
-        assert metrics == {"pass_fraction": 0.5, "mean_tput_gbps": 3.0}
-
-
-class TestGateScript:
-    def _run(self, *argv):
-        return subprocess.run(
-            [sys.executable, "scripts/check_regression.py", *argv],
-            capture_output=True, text=True, cwd="/root/repo")
-
-    def test_clean_history_exits_zero(self, tmp_path):
-        hist = BenchHistory(tmp_path / "h.jsonl")
-        for v in (10.0, 10.1, 9.9):
-            hist.append("bench:a", {"wall_s": v})
-        proc = self._run(str(hist.path))
-        assert proc.returncode == 0, proc.stderr
-        assert "0 failure(s)" in proc.stdout
-
-    def test_injected_slowdown_exits_nonzero(self, tmp_path):
-        hist = BenchHistory(tmp_path / "h.jsonl")
-        for v in (10.0, 10.1, 9.9):
-            hist.append("bench:a", {"wall_s": v})
-        hist.append("bench:a", {"wall_s": 60.0})
-        proc = self._run(str(hist.path))
-        assert proc.returncode == 1
-        assert "inefficient-prefetcher-grade" in proc.stdout
-
-    def test_missing_ledger_exits_two(self, tmp_path):
-        proc = self._run(str(tmp_path / "absent.jsonl"))
-        assert proc.returncode == 2
 
 
 # -- the bench scenario ----------------------------------------------------

@@ -123,8 +123,8 @@ def test_compare_inefficient_flag_is_strictly_above_150_percent():
 
 
 def test_compare_flags_match_regression_gate_language():
-    """perf_report's 110%/150% flags and the history gate speak the same
-    thresholds (regress.py reuses the coordinator's factors)."""
+    """perf_report's 110%/150% flags speak the coordinator's own §4.1.2
+    thresholds."""
     report = perf_report(_synthetic(400.0), compare=_synthetic(200.0))
     assert "110%" in report
     assert "coordinator would flag this" in report
