@@ -43,71 +43,27 @@ python scripts/check_trace.py trace_smoke.json \
     --require sim.chunk \
     --require service.request
 
-echo "== audit smoke job (decision ledger + counterfactual regret replay) =="
-# A fig-10-style adaptive episode must yield a fully-evidenced decision
-# ledger whose counterfactual replay scores every switch against the
-# per-window oracle, byte-identically across reruns; the exported trace
-# must carry the decision.* instants on the shared timeline.
-python -m repro.bench audit --seed 0 --trace audit_trace.json
-python scripts/check_trace.py audit_trace.json \
-    --require decision.evaluated \
-    --require decision.switch
-
 echo "== bench sweep smoke job (parallel ≡ serial ≡ warm) =="
 # The smoke grid runs serial, parallel (--workers 2) and warm-cache and
 # exits non-zero unless all three produce bit-identical results.
 python -m repro.bench sweep --grid smoke --workers 2
 
-echo "== overload smoke job (graceful degradation, byte-identical reruns) =="
-# The overload scenario's own shape checks pin the acceptance triple:
-# retry-budget goodput holds while the no-budget counterfactual
-# collapses, every durability audit is clean, and brownout engages AND
-# disengages. The run must also be byte-identical across two
-# invocations and emit the overload.* trace events.
-python -m repro.bench overload --seed 0 --out overload_run_a \
-    --trace overload_trace.json
-python -m repro.bench overload --seed 0 --out overload_run_b
-diff overload_run_a/overload_scenario.txt overload_run_b/overload_scenario.txt
-python scripts/check_trace.py overload_trace.json \
-    --require overload.shed \
-    --require overload.brownout_enter \
-    --require overload.brownout_exit
-
-echo "== fastforward smoke job (exact steady-state skip, >=5x speedup) =="
-# The scenario's own shape checks gate the contract (non-zero exit on
-# failure): fast-forwarded runs byte-identical to the interpreter on
-# every workload, >= 5x wall-clock on the long fig10-style encode,
-# graceful full-interpretation fallback on the aperiodic update trace.
-# Wall-clock columns legitimately vary between reruns, so the rerun
-# diff compares the deterministic projection: check verdicts (stripped
-# of timing details) and the simulated skip/jump counts.
-python -m repro.bench fastforward --seed 0 --out ff_run_a \
-    --trace ff_trace.json
-python -m repro.bench fastforward --seed 0 --out ff_run_b
-for d in ff_run_a ff_run_b; do
-    sed -E -n 's/ \[[^]]*\]$//; /\[(PASS|FAIL)\]/p' \
-        "$d/fastforward_scenario.txt" > "$d/verdicts.txt"
-    grep -E "^(encode_|decode_|update_)" "$d/fastforward_scenario.txt" \
-        | awk '{print $1, $5, $6, $7, $8}' > "$d/periods.txt"
-done
-diff ff_run_a/verdicts.txt ff_run_b/verdicts.txt
-diff ff_run_a/periods.txt ff_run_b/periods.txt
+echo "== scenario rerun job (shape checks, same seed same bytes) =="
+# Each scenario exits non-zero on a failing shape check. The two runs
+# get their own interpreter and hash seed, only the first is traced,
+# and check_rerun.py demands equal deterministic projections.
+scenarios="audit chaos crash overload fastforward"
+PYTHONHASHSEED=1 python -m repro.bench $scenarios --seed 0 \
+    --out rerun_a --json --trace rerun_trace.json
+PYTHONHASHSEED=2 python -m repro.bench $scenarios --seed 0 \
+    --out rerun_b --json
+python scripts/check_rerun.py rerun_a rerun_b
+python scripts/check_trace.py rerun_trace.json \
+    --require decision.evaluated --require decision.switch \
+    --require overload.shed --require overload.brownout_enter \
+    --require overload.brownout_exit --require sim.fastforward
 grep -q "\[PASS\] long encode fast-forward speedup" \
-    ff_run_a/fastforward_scenario.txt
-python scripts/check_trace.py ff_trace.json \
-    --require sim.fastforward
-
-echo "== chaos smoke job (seeded campaign, durability audit must be clean) =="
-# A short seeded chaos campaign must end with zero acknowledged-write
-# loss; the scenario's own shape checks fail the run otherwise (exit 1).
-python -m repro.bench chaos --seed 0
-
-echo "== crash smoke job (exhaustive crash-point enumeration + tearing) =="
-# Every flush/fence boundary of the smoke and degraded scenarios is
-# power-cut, recovered and checked against the four recovery
-# invariants; any write hole or lost acknowledged byte exits non-zero,
-# as does any byte-level divergence between two identically-seeded runs.
-python -m repro.bench crash --seed 0
+    rerun_a/fastforward_scenario.txt
 
 echo "== slow campaigns (soak tests deselected from tier-1) =="
 python -m pytest tests/ -m slow 2>&1 | tee slow_output.txt

@@ -22,13 +22,15 @@ episode-level oracle-normalized score. The shape checks pin:
   evaluations, a non-empty candidate set);
 * the probe episode's initial decision recorded a hill-climb
   trajectory ending at the chosen distance;
-* the replay's content cache engaged (candidate windows recur);
-* the whole scenario is **byte-identical** for a given ``--seed`` (the
-  ledger JSONL and the regret table are compared verbatim across a
-  rerun).
+* the replay's content cache engaged (candidate windows recur).
+
+Rows carry a ledger JSONL digest and the notes the regret tables, so
+``scripts/check_rerun.py`` compares two runs on both.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from repro.bench.report import FigureResult
 from repro.core.dialga import DialgaConfig, DialgaEncoder
@@ -37,12 +39,10 @@ from repro.simulator.params import HardwareConfig
 from repro.trace.workload import Workload
 
 
-def _episode(*, nthreads: int, stripes: int, use_probe: bool, seed: int):
-    """One adaptive encode episode -> (ledger, regret report, lines).
-
-    ``lines`` is the verbatim evidence (ledger JSONL + regret table)
-    used by the byte-identity gate.
-    """
+def _episode(fig: FigureResult, label: str, *, nthreads: int, stripes: int,
+             use_probe: bool):
+    """Run one adaptive encode episode and add its row to ``fig``;
+    returns (ledger, regret report, fired predicate names)."""
     wl = Workload(k=8, m=4, block_bytes=1024, nthreads=nthreads)
     wl = wl.with_(data_bytes_per_thread=stripes * wl.stripe_data_bytes)
     hw = HardwareConfig()
@@ -51,14 +51,25 @@ def _episode(*, nthreads: int, stripes: int, use_probe: bool, seed: int):
     enc.run(wl, hw)
     ledger = ledger_from_coordinator(enc.last_coordinator)
     report = replay_decisions(ledger)
-    lines = ledger.to_jsonl().splitlines() + report.render().splitlines()
-    return ledger, report, lines
+    fired = sorted({c["name"] for r in ledger.records for c in r.checks
+                    if c["fired"]})
+    fig.add_row(
+        label,
+        decisions=len(ledger.records),
+        switches=len(ledger.switches),
+        fired=",".join(fired) or "-",
+        oracle_score=report.oracle_score,
+        optimal_pct=100.0 * report.optimal_fraction,
+        regret_ns_per_byte=report.total_regret_ns_per_byte,
+        cache_hits=report.cache_stats.get("hits", 0),
+        cache_misses=report.cache_stats.get("misses", 0),
+        ledger_sha=hashlib.sha256(ledger.to_jsonl().encode()).hexdigest()[:16])
+    return ledger, report, fired
 
 
 def audit_scenario(volume: int | None = None, seed: int = 0) -> FigureResult:
     """Decision ledger + counterfactual oracle replay of two adaptive
-    episodes (per-switch regret, oracle-normalized score, byte-identical
-    reruns).
+    episodes (per-switch regret, oracle-normalized score).
 
     ``volume`` is accepted for CLI uniformity but unused (episode sizes
     are part of the scenario definition); ``seed`` perturbs the
@@ -69,40 +80,16 @@ def audit_scenario(volume: int | None = None, seed: int = 0) -> FigureResult:
         "audit_scenario",
         f"coordinator decision audit vs per-window oracle (seed {seed})",
         ["decisions", "switches", "fired", "oracle_score", "optimal_pct",
-         "regret_ns_per_byte", "cache_hits", "cache_misses"])
+         "regret_ns_per_byte", "cache_hits", "cache_misses", "ledger_sha"])
 
     # Pressure episode: thresholds fire, the coordinator switches.
     stripes = 160 + (seed % 4) * 12
-    led_p, rep_p, lines_p = _episode(
-        nthreads=10, stripes=stripes, use_probe=False, seed=seed)
-    fired_p = sorted({c["name"] for r in led_p.records for c in r.checks
-                      if c["fired"]})
-    fig.add_row(
-        "pressure (10 threads)",
-        decisions=len(led_p.records),
-        switches=len(led_p.switches),
-        fired=",".join(fired_p) or "-",
-        oracle_score=rep_p.oracle_score,
-        optimal_pct=100.0 * rep_p.optimal_fraction,
-        regret_ns_per_byte=rep_p.total_regret_ns_per_byte,
-        cache_hits=rep_p.cache_stats.get("hits", 0),
-        cache_misses=rep_p.cache_stats.get("misses", 0))
-
+    led_p, rep_p, fired_p = _episode(fig, "pressure (10 threads)",
+                                     nthreads=10, stripes=stripes,
+                                     use_probe=False)
     # Probe episode: low pressure, hill-climb distance search on.
-    led_q, rep_q, _ = _episode(
-        nthreads=2, stripes=24, use_probe=True, seed=seed)
-    fired_q = sorted({c["name"] for r in led_q.records for c in r.checks
-                      if c["fired"]})
-    fig.add_row(
-        "probe (2 threads)",
-        decisions=len(led_q.records),
-        switches=len(led_q.switches),
-        fired=",".join(fired_q) or "-",
-        oracle_score=rep_q.oracle_score,
-        optimal_pct=100.0 * rep_q.optimal_fraction,
-        regret_ns_per_byte=rep_q.total_regret_ns_per_byte,
-        cache_hits=rep_q.cache_stats.get("hits", 0),
-        cache_misses=rep_q.cache_stats.get("misses", 0))
+    led_q, rep_q, _ = _episode(fig, "probe (2 threads)", nthreads=2,
+                               stripes=24, use_probe=True)
 
     fig.check(
         "pressure episode: the coordinator switched policy at least "
@@ -142,22 +129,10 @@ def audit_scenario(volume: int | None = None, seed: int = 0) -> FigureResult:
         > rep_p.cache_stats.get("misses", 0),
         f"pressure replay: {rep_p.cache_stats}")
 
-    # Byte-identity gate: the full pressure episode replayed must
-    # produce the very same ledger JSONL and regret-table lines.
-    _, rerun_rep, rerun_lines = _episode(
-        nthreads=10, stripes=stripes, use_probe=False, seed=seed)
-    fig.check(
-        "audit episode is byte-identical across reruns (same seed, "
-        "same ledger JSONL, same regret table)",
-        rerun_lines == lines_p
-        and rerun_rep.oracle_score == rep_p.oracle_score,
-        f"{len(rerun_lines)} evidence lines compared verbatim")
-
     # Lay the decisions down on the ambient tracer (no-op unless the
     # CLI installed one via --trace).
-    emitted = led_p.emit_events() + led_q.emit_events()
-    if emitted:
-        fig.notes.append(f"emitted {emitted} decision.* trace events")
+    led_p.emit_events()
+    led_q.emit_events()
 
     fig.notes.append("pressure ledger:\n" + led_p.render())
     fig.notes.append("pressure replay:\n" + rep_p.render())

@@ -11,19 +11,16 @@ and the shape checks pin the system-level guarantees:
 * the kitchen-sink campaign really did suffer a device loss, a
   corruption wave and a retry storm mid-run, concurrently;
 * the system **settles** — loss marks repaired, breakers closed —
-  within the simulated window;
-* the whole scenario is **byte-identical** for a given ``--seed``
-  (campaign reports are embedded in the output verbatim).
+  within the simulated window.
+
+The notes carry every campaign report verbatim, so
+``scripts/check_rerun.py`` compares two runs on them.
 """
 
 from __future__ import annotations
 
 from repro.bench.report import FigureResult
 from repro.chaos import CANNED_CAMPAIGNS, CampaignEngine
-
-
-def _run_campaign(name: str, seed: int):
-    return CampaignEngine(CANNED_CAMPAIGNS[name](seed=seed)).run()
 
 
 def chaos_scenario(volume: int | None = None, seed: int = 0) -> FigureResult:
@@ -40,8 +37,9 @@ def chaos_scenario(volume: int | None = None, seed: int = 0) -> FigureResult:
          "repairs", "mttr_ms", "acked", "lost", "corrupted"])
     reports = {}
     for name in sorted(CANNED_CAMPAIGNS):
-        rep = _run_campaign(name, seed)
+        rep = CampaignEngine(CANNED_CAMPAIGNS[name](seed=seed)).run()
         reports[name] = rep
+        fig.notes.append("campaign report:\n" + rep.render())
         fig.add_row(
             name,
             requests=rep.requests,
@@ -85,14 +83,6 @@ def chaos_scenario(volume: int | None = None, seed: int = 0) -> FigureResult:
         f"trips={ks.counters.get('health_trips', 0)} "
         f"rebuilt={ks.counters.get('repair_blocks_rebuilt', 0)} "
         f"recoveries={ks.counters.get('health_recoveries', 0)}")
-    rerun = _run_campaign("kitchen_sink", seed)
-    fig.check(
-        "campaign reports are byte-identical across replays "
-        "(same seed, same bytes)",
-        rerun.render() == ks.render(),
-        "kitchen_sink rendered twice")
-    for name in sorted(reports):
-        fig.notes.append("campaign report:\n" + reports[name].render())
     return fig
 
 

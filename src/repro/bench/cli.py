@@ -80,6 +80,8 @@ def main(argv: list[str] | None = None) -> int:
                              "top-20 cumulative hotspots (with --out, "
                              "also dump <id>.prof for snakeviz/pstats)")
     args = parser.parse_args(argv)
+    if args.json and args.out is None:
+        parser.error("--json requires --out")
 
     table = _experiments()
     if args.list or not args.experiments:

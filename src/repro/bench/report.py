@@ -42,6 +42,8 @@ class FigureResult:
     rows: list[tuple[str, dict]] = field(default_factory=list)
     checks: list[Check] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    #: Columns holding host wall-clock times, not simulated results.
+    host_columns: list[str] = field(default_factory=list)
 
     def add_row(self, label: str, **values) -> None:
         """Append one sweep point."""
@@ -94,7 +96,7 @@ class FigureResult:
 
     def to_dict(self) -> dict:
         """JSON-ready representation (used by the CLI's --json)."""
-        return {
+        out = {
             "fig_id": self.fig_id,
             "title": self.title,
             "columns": self.columns,
@@ -106,6 +108,17 @@ class FigureResult:
             ],
             "notes": list(self.notes),
         }
+        if self.host_columns:
+            out["host_columns"] = list(self.host_columns)
+        return out
+
+    def deterministic(self) -> dict:
+        """:meth:`to_dict` minus the ``host_columns`` cells: what two
+        runs with the same arguments and seed must reproduce exactly."""
+        out = self.to_dict()
+        out["rows"] = [{k: v for k, v in r.items() if k not in
+                        self.host_columns} for r in out["rows"]]
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "FigureResult":
@@ -117,7 +130,8 @@ class FigureResult:
         return cls(data["fig_id"], data["title"], list(data["columns"]),
                    rows=rows,
                    checks=[Check(**c) for c in data["checks"]],
-                   notes=list(data["notes"]))
+                   notes=list(data["notes"]),
+                   host_columns=list(data.get("host_columns", [])))
 
     def to_csv(self) -> str:
         """The measured series as CSV (header + one line per point)."""

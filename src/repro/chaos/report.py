@@ -2,8 +2,9 @@
 
 Everything in a :class:`CampaignReport` is derived from simulated-clock
 quantities and seeded randomness, so :meth:`CampaignReport.render` is
-byte-identical across runs of the same campaign + seed — the property
-the reproducibility acceptance check pins.
+byte-identical across runs of the same campaign + seed; the chaos and
+overload scenarios embed it in their notes, so ``scripts/check_rerun.py``
+pins that property.
 """
 
 from __future__ import annotations

@@ -15,12 +15,13 @@ exhaustive proof for one scenario); :meth:`CrashInjector.tear_points`
 adds seeded adversarial rounds where a random boundary is hit under
 :func:`~repro.pmstore.pmem.seeded_line_policy` — any pending line may
 persist whole, revert whole, or tear at an 8 B store boundary. Both are
-bit-deterministic per seed, which is what lets the bench gate demand
-byte-identical reruns.
+bit-deterministic per seed, and :attr:`CrashCampaignReport.points_sha256`
+digests every crash point's report line.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,13 +96,20 @@ class CrashCampaignReport:
     rolled_forward_total: int = 0
     damaged_lines_total: int = 0
     failures: list[str] = field(default_factory=list)
-    invariant_failures: dict[str, int] = field(default_factory=dict)
+    _points: hashlib._Hash = field(default_factory=hashlib.sha256,
+                                   init=False, repr=False, compare=False)
 
     @property
     def all_passed(self) -> bool:
         return self.points_run > 0 and self.points_passed == self.points_run
 
+    @property
+    def points_sha256(self) -> str:
+        """sha256 of every absorbed point's ``summary()`` line, in order."""
+        return self._points.hexdigest()
+
     def absorb(self, result: CrashPointResult) -> None:
+        self._points.update(result.summary().encode() + b"\n")
         self.points_run += 1
         self.damaged_lines_total += result.damaged_lines
         if result.recovery is not None:
@@ -110,10 +118,6 @@ class CrashCampaignReport:
             self.points_passed += 1
         else:
             self.failures.append(result.summary())
-            for inv in result.invariants:
-                if not inv.passed:
-                    self.invariant_failures[inv.name] = \
-                        self.invariant_failures.get(inv.name, 0) + 1
 
     def summary(self) -> str:
         """One deterministic report line."""
@@ -227,27 +231,22 @@ class CrashInjector:
     # -- sweeps --------------------------------------------------------------
 
     def enumerate_all(self, report: CrashCampaignReport | None = None,
-                      limit: int | None = None,
-                      on_point=None) -> CrashCampaignReport:
+                      limit: int | None = None) -> CrashCampaignReport:
         """Crash at *every* boundary under the guaranteed-minimum
         policy (all unfenced lines dropped) — the exhaustive sweep.
 
-        ``limit`` caps the sweep for smoke use (the first ``limit``
-        boundaries); ``on_point`` is an optional callback per result.
+        ``limit`` caps the sweep at the first ``limit`` boundaries.
         """
         total = self.count_boundaries()
         report = report or CrashCampaignReport(scenario=self.scenario.name)
         report.boundaries_total = total
         for i in range(total if limit is None else min(limit, total)):
-            result = self.run_point(i)
-            report.absorb(result)
-            if on_point is not None:
-                on_point(result)
+            report.absorb(self.run_point(i))
         return report
 
     def tear_points(self, rounds: int, seed: int = 0,
-                    report: CrashCampaignReport | None = None,
-                    on_point=None) -> CrashCampaignReport:
+                    report: CrashCampaignReport | None = None
+                    ) -> CrashCampaignReport:
         """Seeded adversarial rounds: a random boundary is cut under
         the line-tearing policy (keep / revert / tear per pending
         line), plus ``keep_flushed`` rounds — deterministic per seed.
@@ -265,14 +264,12 @@ class CrashInjector:
                 result = self.run_point(i, seeded_line_policy(rng),
                                         "seeded_tear")
             report.absorb(result)
-            if on_point is not None:
-                on_point(result)
         return report
 
-    def campaign(self, *, tear_rounds: int = 25, seed: int = 0,
-                 limit: int | None = None) -> CrashCampaignReport:
+    def campaign(self, *, tear_rounds: int = 25,
+                 seed: int = 0) -> CrashCampaignReport:
         """Exhaustive enumeration plus adversarial tear rounds."""
-        report = self.enumerate_all(limit=limit)
+        report = self.enumerate_all()
         if tear_rounds:
             self.tear_points(tear_rounds, seed=seed, report=report)
         return report

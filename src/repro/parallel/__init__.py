@@ -20,7 +20,6 @@ layout.
 """
 
 from repro.parallel.cache import (
-    CACHE_VERSION,
     ContentCache,
     SimCache,
     canonical,
@@ -41,7 +40,6 @@ from repro.parallel.sweep import (
 )
 
 __all__ = [
-    "CACHE_VERSION",
     "ContentCache",
     "SimCache",
     "canonical",

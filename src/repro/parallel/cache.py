@@ -7,6 +7,7 @@ equal outputs, bit for bit. Keys are sha256 digests of a canonical
 encoding of those inputs (exact float encoding, sorted keys, type
 tags), so any change to any input — a prefetcher knob, a block size,
 a DIALGA threshold — produces a different key and never a stale hit.
+Keys also carry :func:`code_digest`, so no entry outlives its code.
 
 Three layers use this module:
 
@@ -27,6 +28,7 @@ metadata) without corrupting the cache.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -39,14 +41,21 @@ from repro.simulator import api as _sim_api
 from repro.simulator.multicore import simulate as _simulate_raw
 from repro.trace.ops import Trace
 
-#: Bump when the canonical encoding (or anything simulated meaning)
-#: changes incompatibly; invalidates every existing key.
-#: v2: SimResult grew the ``fastforward`` stats field and sim keys
-#: carry the fastforward flag.
-CACHE_VERSION = "v2"
-
-
 # -- fingerprinting ------------------------------------------------------
+
+
+@functools.cache
+def code_digest() -> str:
+    """sha256 of every ``repro/**/*.py`` (sorted relative path, then
+    bytes), once per process: the whole package, so no edit is missed."""
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix()
+                      for p in root.rglob("*.py")):
+        data = (root / rel).read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def canonical(obj):
@@ -95,8 +104,7 @@ def sim_key(traces, hw, batch_ops: int = 1,
     """Cache key for ``simulate(traces, hw, fastforward=fastforward)``.
 
     ``batch_ops`` is always 1: the scheduler no longer has that knob,
-    but the field stays in the key so that existing keys (and disk-cache
-    entries) remain valid.
+    but the parameter stays for callers that pass it positionally.
 
     Fast-forwarded results are byte-identical to interpreted ones, but
     the flag is keyed anyway: the cache must never be the mechanism
@@ -104,7 +112,7 @@ def sim_key(traces, hw, batch_ops: int = 1,
     ``SimResult.fastforward`` stats differ between the two paths.
     """
     h = hashlib.sha256()
-    h.update(f"sim:{CACHE_VERSION}:{fingerprint(hw)}:{batch_ops}:"
+    h.update(f"sim:{code_digest()}:{fingerprint(hw)}:{batch_ops}:"
              f"{int(fastforward)}:{len(traces)}".encode())
     for t in traces:
         h.update(t.content_key())

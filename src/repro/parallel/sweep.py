@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.libs.base import UnsupportedWorkload
 from repro.obs import Tracer, get_tracer, use_tracer
-from repro.parallel.cache import CACHE_VERSION, ContentCache, fingerprint
+from repro.parallel.cache import ContentCache, code_digest, fingerprint
 from repro.simulator import HardwareConfig
 from repro.simulator.counters import Counters
 from repro.trace import Workload
@@ -63,7 +63,7 @@ class SweepCell:
 
     def key(self) -> str:
         """Content-addressed cache key for this cell's result."""
-        return f"cell:{CACHE_VERSION}:{fingerprint(self)}"
+        return f"cell:{code_digest()}:{fingerprint(self)}"
 
 
 @dataclass

@@ -456,7 +456,7 @@ class ErasureCodingService:
         policy = self.config.retry
         span = self._req_spans.get(id(request))
         # Jitter de-sync token: stable per request identity, so the
-        # same request jitters identically across replays while
+        # same request jitters identically in every run while
         # different requests spread out (breaking retry storms).
         token = zlib.crc32(
             f"{request.kind.value}:{request.key}:{request.client}".encode())

@@ -107,6 +107,15 @@ def test_cli_unknown_experiment(capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_cli_json_requires_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fig03", "--json"])
+    assert exc.value.code == 2
+    assert "--json requires --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_runs_one_experiment(capsys, tmp_path):
     rc = cli_main(["fig03", "--out", str(tmp_path), "--volume", "32768"])
     assert rc == 0

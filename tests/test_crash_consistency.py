@@ -147,8 +147,10 @@ def test_tear_rounds_pass_and_are_deterministic():
     r2 = CrashInjector(smoke_scenario(0)).tear_points(8, seed=3)
     assert r1.all_passed, "\n".join(r1.failures)
     assert r1.summary() == r2.summary()
-    assert r1.summary() != CrashInjector(
-        smoke_scenario(0)).tear_points(8, seed=4).summary()
+    assert r1.points_sha256 == r2.points_sha256
+    r3 = CrashInjector(smoke_scenario(0)).tear_points(8, seed=4)
+    assert r1.summary() != r3.summary()
+    assert r1.points_sha256 != r3.points_sha256
 
 
 def test_degraded_scenario_composes_crashes_with_erasures():

@@ -243,3 +243,9 @@ def test_audit_scenario_all_checks_pass():
     fig = audit_scenario(seed=0)
     assert fig.all_passed, fig.render()
     assert fig.value("pressure (10 threads)", "switches") >= 1
+
+
+@pytest.mark.slow
+def test_audit_scenario_rerun_byte_identical(tmp_path):
+    from tests.test_check_rerun import bench_pair
+    assert bench_pair(tmp_path, "audit", "--seed", "0") == []

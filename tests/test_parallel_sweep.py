@@ -7,7 +7,12 @@ input changes (so a hit is never stale).
 """
 
 import dataclasses
+import os
+import pathlib
 import pickle
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -220,6 +225,43 @@ def test_sim_key_depends_on_hardware_and_batching():
     assert k0 != sim_key([trace], hw.with_pm(media_latency_ns=400.0))
     assert k0 != sim_key([trace], hw, batch_ops=8)
     assert k0 != sim_key([trace, trace], hw)
+
+
+_PRINT_KEYS = """
+from repro.parallel import sim_key
+from repro.parallel.sweep import SweepCell
+from repro.simulator import HardwareConfig
+from repro.trace import Workload
+hw = HardwareConfig()
+print(sim_key([], hw), SweepCell("ISA-L", Workload(k=4, m=2), hw).key())
+"""
+
+
+def _keys_from(src: pathlib.Path, hash_seed: str, cwd) -> str:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+    return subprocess.run([sys.executable, "-c", _PRINT_KEYS], env=env,
+                          cwd=cwd, capture_output=True, text=True,
+                          check=True, timeout=120).stdout
+
+
+def test_cache_keys_follow_the_source_bytes(tmp_path):
+    """Keys carry a digest of the package source: equal in two processes
+    of the same tree (wherever it lives), different after one byte of
+    one module changes, so no cache entry outlives its code."""
+    import repro
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    keys = _keys_from(src, "1", tmp_path)
+    assert keys == _keys_from(src, "2", tmp_path)
+    copy = tmp_path / "src"
+    shutil.copytree(src / "repro", copy / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert _keys_from(copy, "1", tmp_path) == keys
+    module = copy / "repro" / "simulator" / "params.py"
+    data = module.read_bytes()
+    module.write_bytes(data[:-1] + b" ")   # last newline -> space
+    changed = _keys_from(copy, "1", tmp_path).split()
+    assert len(changed) == 2
+    assert all(a != b for a, b in zip(changed, keys.split()))
 
 
 # -------------------------------------------------- tracing + workers
