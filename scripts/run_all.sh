@@ -73,6 +73,9 @@ echo "== figure and ablation experiments (writes benchmarks/results/) =="
 ids=$(python -c 'from repro.bench.figures import ALL_FIGURES; from repro.bench.ablations import ALL_ABLATIONS; print(*ALL_FIGURES, *ALL_ABLATIONS)')
 python -m repro.bench $ids --out benchmarks/results --json \
     2>&1 | tee bench_output.txt
+# Simulated results are invariants: a memo or refactor that shifts a
+# paper figure fails here instead of being committed unnoticed.
+git diff --exit-code -- benchmarks/results
 
 echo "== paper-vs-measured report (renders the JSON, no simulation) =="
 python scripts/make_experiments_md.py

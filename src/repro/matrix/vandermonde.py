@@ -24,11 +24,11 @@ def vandermonde_matrix(field: GF, rows: int, cols: int) -> np.ndarray:
         raise ValueError(
             f"cannot build {rows} distinct evaluation points in GF(2^{field.w})"
         )
-    V = np.zeros((rows, cols), dtype=field.dtype)
-    for i in range(rows):
-        for j in range(cols):
-            V[i, j] = field.pow(i, j) if (i or not j) else 0
-    V[0, 0] = 1
+    V = np.empty((rows, cols), dtype=field.dtype)
+    points = np.arange(rows, dtype=field.dtype)
+    for j in range(cols):
+        # GF.pow maps 0**0 to 1 and 0**j (j > 0) to 0.
+        V[:, j] = field.pow(points, j)
     return V
 
 

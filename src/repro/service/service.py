@@ -141,7 +141,11 @@ class ErasureCodingService:
         #: until_ns). Reads touching one pay the penalty unless the
         #: brownout / hedging paths route around it.
         self.slow_devices: dict[int, tuple[float, float]] = {}
-        self._hedge_decode_memo: float | None = None
+        #: Untraced coding jobs: workload -> (makespan_ns,
+        #: policy_switches). ``library`` and ``hw`` are fixed for the
+        #: service's lifetime, so a job's cost is a pure function of
+        #: its workload.
+        self._job_memo: dict[Workload, tuple[float, int]] = {}
         #: Optional :class:`~repro.service.healing.SelfHealer` run in
         #: the event loop's idle gaps (see :meth:`attach_healer`).
         self.healer = None
@@ -540,12 +544,24 @@ class ErasureCodingService:
                     # on the same rebased timeline as the job's spans.
                     from repro.obs.audit import ledger_from_coordinator
                     ledger_from_coordinator(coord).emit_events(tracer)
+            makespan = res.sim.makespan_ns
+            switches = getattr(self.library, "policy_switches", 0)
         else:
-            res = self.library.run(wl, self.hw)
-        switches = getattr(self.library, "policy_switches", 0)
+            makespan, switches = self._job_cost(wl)
         if switches:
             self.metrics.inc("policy_switches", switches)
-        return res.sim.makespan_ns
+        return makespan
+
+    def _job_cost(self, wl: Workload) -> tuple[float, int]:
+        """``(makespan_ns, policy_switches)`` of one untraced coding
+        job, simulated once per distinct workload."""
+        cost = self._job_memo.get(wl)
+        if cost is None:
+            res = self.library.run(wl, self.hw)
+            cost = self._job_memo[wl] = (
+                res.sim.makespan_ns,
+                getattr(self.library, "policy_switches", 0))
+        return cost
 
     def _transfer_ns(self, nbytes: int) -> float:
         """DDR-T transfer time for ``nbytes`` (GB/s == bytes/ns)."""
@@ -589,21 +605,18 @@ class ErasureCodingService:
         return self.clock_ns + base + delay + transfer + makespan, results
 
     def _hedge_decode_cost_ns(self) -> float:
-        """Memoized single-stripe decode estimate for hedge accounting.
+        """Single-stripe decode estimate for hedge accounting.
 
-        Computed once under a silenced tracer (the estimate is an
-        accounting device, not a real simulated job — same pattern as
-        ``SelfHealer._decode_cost_ns``).
+        Read from the job memo under a silenced tracer (the estimate is
+        an accounting device, not a real simulated job — same pattern
+        as ``SelfHealer._decode_cost_ns``).
         """
-        if self._hedge_decode_memo is None:
-            wl = Workload(k=self.k, m=self.m, block_bytes=self.block_bytes,
-                          nthreads=1,
-                          data_bytes_per_thread=self.k * self.block_bytes,
-                          op="decode", erasures=1)
-            with use_tracer(None):
-                self._hedge_decode_memo = self.library.run(
-                    wl, self.hw).sim.makespan_ns
-        return self._hedge_decode_memo
+        wl = Workload(k=self.k, m=self.m, block_bytes=self.block_bytes,
+                      nthreads=1,
+                      data_bytes_per_thread=self.k * self.block_bytes,
+                      op="decode", erasures=1)
+        with use_tracer(None):
+            return self._job_cost(wl)[0]
 
     def _slow_read_extra_ns(self, penalty_ns: float) -> tuple[float, bool, bool]:
         """Extra per-read cost under an active slow device.

@@ -82,9 +82,16 @@ class CoreCache:
 
     def drain(self) -> None:
         """End-of-run flush: account never-used prefetches as useless."""
-        while self._lines:
-            _, ent = self._lines.popitem(last=False)
-            self._account_eviction(ent)
+        hwpf = swpf = 0
+        for ent in self._lines.values():
+            if not ent.used:
+                if ent.source == HWPF:
+                    hwpf += 1
+                elif ent.source == SWPF:
+                    swpf += 1
+        self.counters.hwpf_useless += hwpf
+        self.counters.swpf_useless += swpf
+        self._lines.clear()
 
     # -- fast-forward hooks ------------------------------------------------
 

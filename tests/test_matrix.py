@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.gf import gf8, element_bitmatrix
+from repro.gf import gf4, gf8, gf16, element_bitmatrix
 from repro.matrix import (
     vandermonde_matrix,
     systematic_vandermonde,
@@ -25,6 +25,35 @@ def test_vandermonde_entries():
     assert V[2, 0] == 1
     assert V[2, 1] == 2
     assert V[2, 2] == gf8.mul(2, 2)
+
+
+def _vandermonde_oracle(field, rows, cols):
+    """The scalar double loop: V[i, j] = i ** j with 0 ** 0 = 1."""
+    V = np.zeros((rows, cols), dtype=field.dtype)
+    for i in range(rows):
+        for j in range(cols):
+            V[i, j] = field.pow(i, j) if (i or not j) else 0
+    V[0, 0] = 1
+    return V
+
+
+def test_vandermonde_matches_scalar_oracle_gf8():
+    # V[i, j] does not depend on the shape, so every geometry's oracle
+    # is a corner of the largest one.
+    oracle = _vandermonde_oracle(gf8, 72, 72)
+    for m in range(9):
+        for k in range(1, 73 - m):
+            assert np.array_equal(vandermonde_matrix(gf8, k + m, k),
+                                  oracle[:k + m, :k]), (k, m)
+
+
+@pytest.mark.parametrize("field,rows,cols", [
+    (gf4, 6, 4), (gf4, 16, 12), (gf4, 1, 1),
+    (gf16, 12, 8), (gf16, 40, 32), (gf16, 300, 3)])
+def test_vandermonde_matches_scalar_oracle_other_fields(field, rows, cols):
+    V = vandermonde_matrix(field, rows, cols)
+    assert V.dtype == field.dtype
+    assert np.array_equal(V, _vandermonde_oracle(field, rows, cols))
 
 
 def test_vandermonde_too_many_rows():

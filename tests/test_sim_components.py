@@ -51,6 +51,27 @@ def test_cache_swpf_useless_on_drain():
     assert len(cache) == 0
 
 
+def test_cache_drain_counts_mixed_resident_set():
+    """drain() counts only unused prefetches, by source, and empties
+    the set; used prefetches and demand lines are not useless."""
+    c = Counters(hwpf_useless=3, swpf_useless=5)
+    cache = CoreCache(16, c)
+    cache.insert(0, 0.0, HWPF)                 # unused HWPF
+    cache.insert(64, 0.0, HWPF)                # used HWPF
+    cache.lookup(64).used = True
+    cache.insert(128, 0.0, SWPF)               # unused SWPF
+    cache.insert(192, 0.0, SWPF)               # unused SWPF
+    cache.insert(256, 0.0, SWPF, used=True)    # used SWPF
+    cache.insert(320, 0.0, DEMAND)             # demand, never marked used
+    cache.insert(384, 0.0, DEMAND, used=True)  # demand
+    cache.insert(448, 0.0, HWPF)               # unused HWPF
+    cache.drain()
+    assert (c.hwpf_useless, c.swpf_useless) == (3 + 2, 5 + 2)
+    assert len(cache) == 0 and 0 not in cache
+    cache.drain()
+    assert (c.hwpf_useless, c.swpf_useless) == (5, 7)
+
+
 def test_cache_reinsert_keeps_earliest_arrival():
     c = Counters()
     cache = CoreCache(4, c)
