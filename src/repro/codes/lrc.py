@@ -62,13 +62,8 @@ class LRCCode:
         if data.shape[0] != self.k:
             raise ValueError(f"expected k={self.k} data blocks, got {data.shape[0]}")
         global_parity = self.rs.encode_blocks(data)
-        local_parity = np.zeros((self.l, data.shape[1]), dtype=np.uint8)
-        for g in range(self.l):
-            np.bitwise_xor.reduce(
-                data[g * self.group_size : (g + 1) * self.group_size],
-                axis=0,
-                out=local_parity[g],
-            )
+        local_parity = np.bitwise_xor.reduce(
+            data.reshape(self.l, self.group_size, data.shape[1]), axis=1)
         return global_parity, local_parity
 
     def repair_local(self, group: int, available: dict[int, np.ndarray]) -> np.ndarray:

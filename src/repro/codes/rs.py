@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gf.arithmetic import GF, gf8
-from repro.matrix.invert import gf_invert_matrix
+from repro.matrix.invert import DecodeMatrices
 from repro.matrix.vandermonde import systematic_vandermonde
 from repro.matrix.cauchy import systematic_cauchy
 from repro.codes.stripe import Stripe
@@ -62,6 +62,8 @@ class RSCode:
             raise ValueError(f"unknown matrix kind {matrix!r}")
         #: The m x k parity-coefficient block (bottom of the generator).
         self.parity_rows = self.generator[k:]
+        #: ``decode_matrix(survivors, erased)``: memoized decode rows.
+        self.decode_matrix = DecodeMatrices(self.field, self.generator, k)
 
     # -- encode ---------------------------------------------------------
 
@@ -94,29 +96,11 @@ class RSCode:
             np.asarray(new_block, dtype=self.field.dtype),
         )
         out = np.array(parity, dtype=self.field.dtype, copy=True)
-        for i in range(self.m):
-            self.field.mul_block_accumulate(out[i], int(self.parity_rows[i, index]), delta)
+        out ^= self.field.matmul(self.parity_rows[:, index:index + 1],
+                                 delta[None, :])
         return out
 
     # -- decode ---------------------------------------------------------
-
-    def decode_matrix(self, survivors: list[int], erased: list[int]) -> np.ndarray:
-        """Rows that rebuild ``erased`` blocks from ``survivors[:k]``.
-
-        ``survivors`` and ``erased`` are stripe-global indices
-        (0..k-1 data, k..k+m-1 parity). Returns ``(len(erased), k)``.
-        """
-        sub = self.generator[survivors[: self.k]]
-        inv = gf_invert_matrix(self.field, sub)
-        rows = []
-        for e in erased:
-            if e < self.k:
-                rows.append(inv[e])
-            else:
-                # Erased parity: re-encode from decoded data rows.
-                rows.append(self.field.matmul(
-                    self.generator[e][None, :], inv)[0])
-        return np.vstack(rows)
 
     def decode(self, available: dict[int, np.ndarray], erased) -> dict[int, np.ndarray]:
         """Recover the ``erased`` blocks from any >= k surviving blocks.

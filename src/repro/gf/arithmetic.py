@@ -2,10 +2,10 @@
 
 The :class:`GF` class exposes NumPy-native field operations. All
 element-wise operations accept scalars or arrays and broadcast like
-ordinary NumPy ufuncs. The hot path for coding is
-:meth:`GF.mul_block` / :meth:`GF.mul_block_accumulate`, which multiply
-whole data blocks by one coefficient through a single table gather —
-the Python analogue of ISA-L's ``vpshufb``-based kernel.
+ordinary NumPy ufuncs. The hot path for coding is :meth:`GF.matmul`,
+which forms every block product of a coefficient matrix with a stack of
+data blocks in one table gather and XOR-reduces them in one pass — the
+Python analogue of ISA-L's ``ec_encode_data``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gf.tables import GFTables, get_tables
+
+#: Columns of ``B`` per gather in :meth:`GF.matmul`. It bounds one
+#: gather's index and product temporaries to ``r * c * MATMUL_SLICE``
+#: entries however wide ``B`` is.
+MATMUL_SLICE = 4096
 
 
 class GF:
@@ -123,30 +128,16 @@ class GF:
         out[nz] = self.tables.exp[self.tables.log[coef] + self.tables.log[block[nz]]]
         return out
 
-    def mul_block_accumulate(self, acc: np.ndarray, coef: int, block: np.ndarray) -> None:
-        """In-place ``acc ^= coef * block`` — the encode inner loop.
-
-        Avoids temporaries beyond one gather result, per the HPC guide's
-        in-place-operation advice.
-        """
-        if coef == 0:
-            return
-        if coef == 1:
-            np.bitwise_xor(acc, block, out=acc)
-            return
-        if self.tables.mul is not None:
-            np.bitwise_xor(acc, self.tables.mul[coef][block], out=acc)
-        else:
-            np.bitwise_xor(acc, self.mul_block(coef, block), out=acc)
-
     # -- linear algebra --------------------------------------------------
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Matrix product over the field.
 
-        ``A`` is (r, c), ``B`` is (c, n); returns (r, n). Implemented
-        row-by-row with block multiplies so it is fast when ``n`` is a
-        large block length (the encode case).
+        ``A`` is (r, c), ``B`` is (c, n); returns (r, n). Each slice of
+        at most :data:`MATMUL_SLICE` columns of ``B`` costs one gather,
+        forming all r*c block products at once, and one XOR reduction
+        over c. Accepts lists and any strided view; never writes to its
+        inputs.
         """
         A = np.asarray(A, dtype=self.dtype)
         B = np.asarray(B, dtype=self.dtype)
@@ -154,11 +145,25 @@ class GF:
         c2, n = B.shape
         if c != c2:
             raise ValueError(f"shape mismatch: {A.shape} @ {B.shape}")
-        out = np.zeros((r, n), dtype=self.dtype)
-        for i in range(r):
-            acc = out[i]
-            for j in range(c):
-                self.mul_block_accumulate(acc, int(A[i, j]), B[j])
+        out = np.empty((r, n), dtype=self.dtype)
+        t = self.tables
+        if t.mul is not None:
+            # Row i of ``rows`` is the table rows of A[i, :] laid end to
+            # end, so A[i, j] * b sits at column (j << w) | b.
+            rows = t.mul[A].reshape(r, c << self.w)
+            col = (np.arange(c, dtype=np.intp) << self.w)[:, None]
+        else:
+            log_a = t.log[A][:, :, None]
+            zero_a = (A == 0)[:, :, None]
+        for s in range(0, n, MATMUL_SLICE):
+            b = B[:, s:s + MATMUL_SLICE]
+            if t.mul is not None:
+                prod = np.take(rows, col | b, axis=1)
+            else:
+                prod = np.take(t.exp, log_a + t.log[b])
+                prod[zero_a | (b == 0)] = 0
+            np.bitwise_xor.reduce(prod, axis=1,
+                                  out=out[:, s:s + MATMUL_SLICE])
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

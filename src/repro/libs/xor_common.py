@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.gf.arithmetic import GF, gf8
 from repro.gf.bitmatrix import matrix_to_bitmatrix
-from repro.matrix.invert import gf_invert_matrix
+from repro.matrix.invert import DecodeMatrices
 from repro.xorsched.optimize import cse_optimize
 from repro.xorsched.schedule import XorSchedule, encode_bitmatrix, naive_schedule
 
@@ -40,6 +40,8 @@ class BitmatrixCode:
             [np.eye(k, dtype=self.field.dtype), self.parity])
         self._encode_schedule: XorSchedule | None = None
         self._optimize_encode = optimize_encode
+        #: GF rows rebuilding ``erased`` from ``survivors[:k]``.
+        self.decode_matrix = DecodeMatrices(self.field, self.generator, k)
 
     @property
     def encode_schedule(self) -> XorSchedule:
@@ -59,19 +61,6 @@ class BitmatrixCode:
         return encode_bitmatrix(self.field, bm, data,
                                 schedule=self.encode_schedule)
 
-    def decode_rows(self, survivors: list[int], erased: list[int]) -> np.ndarray:
-        """GF rows rebuilding ``erased`` from ``survivors[:k]``."""
-        sub = self.generator[survivors[: self.k]]
-        inv = gf_invert_matrix(self.field, sub)
-        rows = []
-        for e in erased:
-            if e < self.k:
-                rows.append(inv[e])
-            else:
-                rows.append(self.field.matmul(
-                    self.generator[e][None, :], inv)[0])
-        return np.vstack(rows)
-
     def decode(self, available: dict[int, np.ndarray], erased) -> dict[int, np.ndarray]:
         """Recover erased blocks (functional, via the decode matrix)."""
         erased = list(erased)
@@ -81,7 +70,7 @@ class BitmatrixCode:
         if len(survivors) < self.k:
             raise ValueError(f"need >= k={self.k} survivors")
         use = survivors[: self.k]
-        D = self.decode_rows(use, erased)
+        D = self.decode_matrix(use, erased)
         bm = matrix_to_bitmatrix(self.field, D)
         src = np.vstack([np.asarray(available[i], dtype=np.uint8) for i in use])
         out = encode_bitmatrix(self.field, bm, src)
@@ -93,7 +82,7 @@ class BitmatrixCode:
         """
         erased = list(range(erasures))
         survivors = [i for i in range(self.k + self.m) if i not in erased]
-        D = self.decode_rows(survivors[: self.k], erased)
+        D = self.decode_matrix(survivors[: self.k], erased)
         bm = matrix_to_bitmatrix(self.field, D)
         return naive_schedule(bm, self.k, erasures, self.field.w)
 

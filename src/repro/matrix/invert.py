@@ -1,7 +1,9 @@
 """Gaussian elimination, inversion and rank over GF(2^w).
 
 Decoding a stripe with erasures reduces to inverting the surviving
-k x k submatrix of the generator — this module is that primitive.
+k x k submatrix of the generator — this module is that primitive, and
+:class:`DecodeMatrices` builds each erasure pattern's decode matrix
+from it once.
 """
 
 from __future__ import annotations
@@ -77,3 +79,38 @@ def gf_solve(field: GF, A: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.ndim == 1:
         return field.matmul(Ainv, b[:, None])[:, 0]
     return field.matmul(Ainv, b)
+
+
+#: Erasure patterns a :class:`DecodeMatrices` remembers; RS(12,8) has
+#: 793 patterns of 1 to 4 erasures.
+DECODE_MEMO_SIZE = 1024
+
+
+class DecodeMatrices:
+    """Decode matrices of one systematic code, built once per pattern.
+
+    ``generator`` is the ``(k + m, k)`` generator, identity on top.
+    Called with stripe-global ``survivors`` and ``erased`` indices, it
+    returns the read-only ``(len(erased), k)`` rows that rebuild
+    ``erased`` from ``survivors[:k]`` (ISA-L's ``gf_gen_decode_matrix``).
+    Keyed by ``(tuple(survivors[:k]), tuple(erased))``; past
+    :data:`DECODE_MEMO_SIZE` entries the oldest is dropped.
+    """
+
+    def __init__(self, field: GF, generator: np.ndarray, k: int):
+        self.field, self.generator, self.k = field, generator, k
+        self._memo: dict[tuple, np.ndarray] = {}
+
+    def __call__(self, survivors, erased) -> np.ndarray:
+        key = (tuple(survivors[: self.k]), tuple(erased))
+        rows = self._memo.get(key)
+        if rows is None:
+            inv = gf_invert_matrix(self.field, self.generator[list(key[0])])
+            # Generator row e < k is unit vector e, so one product gives
+            # inv[e] for lost data and the re-encoded row for lost parity.
+            rows = self.field.matmul(self.generator[list(key[1])], inv)
+            rows.flags.writeable = False
+            if len(self._memo) >= DECODE_MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = rows
+        return rows

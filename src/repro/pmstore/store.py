@@ -251,18 +251,10 @@ class PMStore:
 
     def _new_stripe(self) -> int:
         addr = self.domain.allocate(self._stripe_bytes)
+        # Freshly allocated PM is zero-filled, and RS and LRC are linear,
+        # so all-zero data has all-zero parity: the stripe is born
+        # consistent with nothing encoded or written.
         stripe = self._materialize_stripe(addr)
-        # Freshly allocated PM is zero-filled and RS/LRC parity of
-        # all-zero data is all zeros, so the stripe is born consistent
-        # with nothing written; exotic codes get their parity persisted.
-        parity = self._compute_parity(stripe.data)
-        if parity.any():
-            par_addr = addr + self.k * self.block_bytes
-            self.domain.write(par_addr, parity)
-            self.domain.persist(par_addr, parity.size)
-            stripe.parity[:] = stripe.parity  # views already updated
-            stripe.checksums = self._stripe_checksums(stripe.data,
-                                                      stripe.parity)
         # A dead device region is dead for freshly allocated stripes too:
         # logical writes still land (parity carries them), reads degrade.
         stripe.lost |= self._lost_devices

@@ -49,10 +49,7 @@ def encode_decomposed(field: GF, parity_rows: np.ndarray, data: np.ndarray,
     m = parity_rows.shape[0]
     parity = np.zeros((m, data.shape[1]), dtype=field.dtype)
     for cols, sub in decompose_generator(parity_rows, group_size):
-        # The re-load of `parity` here is implicit in `mul_block_accumulate`;
-        # the performance model charges it explicitly per group.
-        for i in range(m):
-            acc = parity[i]
-            for jj, col in enumerate(cols):
-                field.mul_block_accumulate(acc, int(sub[i, jj]), data[col])
+        # Each group re-loads `parity` to fold in its partial product;
+        # the performance model charges that re-load per group.
+        parity ^= field.matmul(sub, data[cols])
     return parity

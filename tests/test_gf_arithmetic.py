@@ -91,25 +91,6 @@ def test_mul_block_w16():
     assert np.array_equal(gf16.mul_block(9, block), gf16.mul(9, block))
 
 
-def test_mul_block_accumulate_inplace():
-    rng = np.random.default_rng(5)
-    block = rng.integers(0, 256, 256).astype(np.uint8)
-    acc = rng.integers(0, 256, 256).astype(np.uint8)
-    want = acc ^ gf8.mul_block(9, block)
-    gf8.mul_block_accumulate(acc, 9, block)
-    assert np.array_equal(acc, want)
-
-
-def test_mul_block_accumulate_coef_edge_cases():
-    block = np.array([1, 2, 3], dtype=np.uint8)
-    acc = np.array([4, 5, 6], dtype=np.uint8)
-    orig = acc.copy()
-    gf8.mul_block_accumulate(acc, 0, block)
-    assert np.array_equal(acc, orig)
-    gf8.mul_block_accumulate(acc, 1, block)
-    assert np.array_equal(acc, orig ^ block)
-
-
 def test_matmul_against_scalar_loop():
     rng = np.random.default_rng(6)
     A = rng.integers(0, 256, (3, 4)).astype(np.uint8)

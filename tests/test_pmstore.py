@@ -38,6 +38,19 @@ def test_new_stripe_allocated_when_full():
     assert s.num_stripes == 2
 
 
+@pytest.mark.parametrize("lrc_l", [None, 2], ids=["rs", "lrc"])
+def test_fresh_stripe_is_born_consistent_without_an_encode(lrc_l):
+    # A fresh stripe is zero-filled PM; RS and LRC are linear, so its
+    # parity is the encode of all-zero data: zero.
+    s = _store(lrc_l=lrc_l)
+    stripe = s._stripes[s._new_stripe()]
+    assert not stripe.data.any() and not stripe.parity.any()
+    assert np.array_equal(stripe.parity, s._compute_parity(stripe.data))
+    assert stripe.checksums == s._stripe_checksums(stripe.data,
+                                                   stripe.parity)
+    assert s.verify_stripe(0) == []
+
+
 def test_oversized_object_rejected():
     s = _store()
     with pytest.raises(ValueError, match="shard"):
