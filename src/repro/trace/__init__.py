@@ -9,7 +9,7 @@ codes' packet XOR programs) and DIALGA's operator variants (pipelined
 software prefetch, shuffle mapping, XPLine-granularity expansion).
 """
 
-from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace
+from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace, tile
 from repro.trace.workload import Workload
 from repro.trace.layout import StripeLayout
 from repro.trace.isal_gen import isal_trace, IsalVariant
@@ -21,6 +21,7 @@ from repro.trace.period import detect_period, TracePeriod
 __all__ = [
     "LOAD", "STORE", "SWPF", "COMPUTE", "FENCE",
     "Trace",
+    "tile",
     "Workload",
     "StripeLayout",
     "isal_trace",

@@ -21,17 +21,23 @@ lines with non-temporal stores; a fence ends the stripe. Variants:
   the first line per XPLine and lets the read buffer serve the rest.
 * ``decompose_group=g`` — ISA-L-D / Cerasure wide-stripe decomposition:
   multiple narrow passes with parity reload between passes.
+
+Each generator emits stripe 0's kernel op by op and tiles it over the
+thread's stripes with :func:`repro.trace.tile`. That is exact because
+stripes sit a whole number of pages apart: the XPLine-first test
+``(addr // 64) % 4`` gives the same answer in every stripe.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.simulator.params import CPUConfig
-from repro.trace.layout import StripeLayout, LINE, PAGE
-from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace
+from repro.trace.layout import StripeLayout, LINE
+from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace, tile
 from repro.trace.workload import Workload
 
 #: Lines per XPLine (256 B / 64 B).
@@ -97,26 +103,12 @@ def isal_trace(wl: Workload, cpu: CPUConfig,
     """
     if variant.decompose_group is not None:
         return _decomposed_trace(wl, cpu, variant, thread, stripe_offset)
-    m_eff = wl.erasures if wl.op == "decode" else wl.m
-    extra = wl.lrc_l or 0
     layout = StripeLayout(wl.k, wl.m, wl.block_bytes, thread=thread,
-                          extra_blocks=extra)
-    L = layout.lines_per_block
-    k = wl.k
+                          extra_blocks=wl.lrc_l or 0)
     per_line = _per_line_compute_cycles(wl, cpu)
-    order = _row_order(L, variant.shuffle)
-    trace = Trace()
-    add = trace.add
-    stripes = wl.stripes_per_thread
-
-    srange = range(stripe_offset, stripe_offset + stripes)
-    if variant.xpline_granularity:
-        _emit_xpline_stripes(wl, layout, order, per_line, variant, add, srange)
-    else:
-        _emit_rowmajor_stripes(wl, layout, order, per_line, variant, add, srange)
-
-    trace.data_bytes = stripes * wl.stripe_data_bytes
-    return trace
+    stripe = _xpline_stripe if variant.xpline_granularity else _rowmajor_stripe
+    return tile(stripe(wl, layout, per_line, variant), wl.stripes_per_thread,
+                layout.stripe_stride, stripe_offset)
 
 
 
@@ -144,60 +136,58 @@ def _dest_blocks(wl: Workload) -> list[int]:
     return out
 
 
-def _emit_rowmajor_stripes(wl, layout, order, per_line, variant, add, srange):
+def _rowmajor_stripe(wl, layout, per_line, variant) -> Trace:
+    """Stripe 0 of the one-pass row-major kernel (+SW prefetch).
+
+    The hottest emitter, so it appends to plain lists rather than
+    through :meth:`Trace.add`: every COMPUTE follows its row's loads,
+    so there is never a COMPUTE run to coalesce.
+    """
     k = wl.k
-    sources = _source_blocks(wl)
-    dests = _dest_blocks(wl)
-    L = len(order)
-    total = L * k
+    src_base = [layout.block_addr(0, b) for b in _source_blocks(wl)]
+    dst_base = [layout.block_addr(0, b) for b in _dest_blocks(wl)]
+    row_off = [r * LINE for r in _row_order(layout.lines_per_block,
+                                            variant.shuffle)]
+    # Sequence element n = rp * k + j is row position rp of source j.
+    elem_addr = [base + roff for roff in row_off for base in src_base]
+    total = len(elem_addr)
     d = variant.sw_prefetch_distance
     d_first = variant.bf_first_line_distance
-
-    # Address arithmetic hoisted out of the per-op loop (this function
-    # emits every op of every ISA-L-family trace):
-    # line_addr(s, b, r) == thread_base + (s*bps + b)*block_stride + r*64.
-    bps = layout.blocks_per_stripe
-    block_stride = layout.pages_per_block * PAGE
-    thread_base = layout.thread_base
-    stripe_stride = bps * block_stride
-    src_off = [b * block_stride for b in sources]
-    dst_off = [b * block_stride for b in dests]
-    row_off = [r * LINE for r in order]  # indexed by row position rp
     compute_cycles = per_line * k
+    ops: list[int] = []
+    args: list[float] = []
+    op, arg = ops.append, args.append
 
-    def elem_addr(sbase, n):
-        rp, j = divmod(n, k)
-        return sbase + src_off[j] + row_off[rp]
-
-    for s in srange:
-        sbase = thread_base + s * stripe_stride
-        for rp in range(L):
-            roff = row_off[rp]
-            base_n = rp * k
-            for j in range(k):
-                n = base_n + j
-                if d is not None:
-                    t = n + d
-                    if t < total:
-                        addr = elem_addr(sbase, t)
-                        is_first = (addr // LINE) % XP_LINES == 0
-                        if d_first is None or not is_first:
-                            add(SWPF, addr)
-                    if d_first is not None:
-                        t2 = n + d_first
-                        if t2 < total:
-                            addr2 = elem_addr(sbase, t2)
-                            if (addr2 // LINE) % XP_LINES == 0:
-                                add(SWPF, addr2)
-                add(LOAD, sbase + src_off[j] + roff)
-            add(COMPUTE, compute_cycles)
-            for doff in dst_off:
-                add(STORE, sbase + doff + roff)
-        add(FENCE, 0)
+    for rp, roff in enumerate(row_off):
+        for n in range(rp * k, rp * k + k):
+            if d is not None:
+                t = n + d
+                if t < total:
+                    addr = elem_addr[t]
+                    if d_first is None or (addr // LINE) % XP_LINES:
+                        op(SWPF)
+                        arg(addr)
+                if d_first is not None:
+                    t2 = n + d_first
+                    if t2 < total and (elem_addr[t2] // LINE) % XP_LINES == 0:
+                        op(SWPF)
+                        arg(elem_addr[t2])
+            op(LOAD)
+            arg(elem_addr[n])
+        op(COMPUTE)
+        arg(compute_cycles)
+        for base in dst_base:
+            op(STORE)
+            arg(base + roff)
+    op(FENCE)
+    arg(0)
+    kernel = Trace(data_bytes=wl.stripe_data_bytes)
+    kernel.opcodes, kernel.args = array("B", ops), array("d", args)
+    return kernel
 
 
-def _emit_xpline_stripes(wl, layout, order, per_line, variant, add, srange):
-    """256 B-granularity loop expansion (§4.3.3).
+def _xpline_stripe(wl, layout, per_line, variant) -> Trace:
+    """Stripe 0 at 256 B granularity: the loop expansion of §4.3.3.
 
     The element sequence becomes (XPLine-group, block); all lines of a
     group are consumed back-to-back so the implicit media load is used
@@ -205,10 +195,11 @@ def _emit_xpline_stripes(wl, layout, order, per_line, variant, add, srange):
     future group — the read buffer serves the remaining lines.
     """
     k = wl.k
-    sources = _source_blocks(wl)
-    dests = _dest_blocks(wl)
+    src_base = [layout.block_addr(0, b) for b in _source_blocks(wl)]
+    dst_base = [layout.block_addr(0, b) for b in _dest_blocks(wl)]
     L = layout.lines_per_block
-    groups = [list(range(g, min(g + XP_LINES, L))) for g in range(0, L, XP_LINES)]
+    groups = [[r * LINE for r in range(g, min(g + XP_LINES, L))]
+              for g in range(0, L, XP_LINES)]
     ngroups = len(groups)
     # Reuse the (possibly shuffled) order at group granularity.
     gorder = _row_order(ngroups, variant.shuffle)
@@ -216,41 +207,24 @@ def _emit_xpline_stripes(wl, layout, order, per_line, variant, add, srange):
     # d is expressed in row-major sequence elements (lines); one group
     # step spans XP_LINES rows, so convert to whole groups.
     dg = max(1, round(d / (XP_LINES * k))) if d is not None else None
-    total = ngroups * k
+    kernel = Trace(data_bytes=wl.stripe_data_bytes)
+    add = kernel.add
 
-    # Hoisted address arithmetic (see _emit_rowmajor_stripes).
-    bps = layout.blocks_per_stripe
-    block_stride = layout.pages_per_block * PAGE
-    thread_base = layout.thread_base
-    stripe_stride = bps * block_stride
-    src_off = [b * block_stride for b in sources]
-    dst_off = [b * block_stride for b in dests]
-    group_line_off = [[r * LINE for r in g] for g in groups]
-    group_first_off = [g[0] * LINE for g in groups]
-    group_cycles = [per_line * len(g) for g in groups]
-
-    for s in srange:
-        sbase = thread_base + s * stripe_stride
-        for gp in range(ngroups):
-            g = gorder[gp]
-            line_offs = group_line_off[g]
-            cycles = group_cycles[g]
-            for j in range(k):
-                n = gp * k + j
-                if dg is not None:
-                    t = n + dg * k  # same block, dg groups ahead
-                    if t < total:
-                        t_gp, t_j = divmod(t, k)
-                        add(SWPF, sbase + src_off[t_j]
-                            + group_first_off[gorder[t_gp]])
-                soff = sbase + src_off[j]
-                for loff in line_offs:
-                    add(LOAD, soff + loff)
-                add(COMPUTE, cycles)
+    for gp, g in enumerate(gorder):
+        line_offs = groups[g]
+        cycles = per_line * len(line_offs)
+        for base in src_base:
+            if dg is not None and gp + dg < ngroups:
+                # Same block, dg groups ahead.
+                add(SWPF, base + groups[gorder[gp + dg]][0])
             for loff in line_offs:
-                for doff in dst_off:
-                    add(STORE, sbase + doff + loff)
-        add(FENCE, 0)
+                add(LOAD, base + loff)
+            add(COMPUTE, cycles)
+        for loff in line_offs:
+            for base in dst_base:
+                add(STORE, base + loff)
+    add(FENCE, 0)
+    return kernel
 
 
 def _decomposed_trace(wl: Workload, cpu: CPUConfig,
@@ -267,27 +241,31 @@ def _decomposed_trace(wl: Workload, cpu: CPUConfig,
         raise ValueError("decompose_group must be a positive int")
     layout = StripeLayout(wl.k, wl.m, wl.block_bytes, thread=thread,
                           extra_blocks=wl.lrc_l or 0)
-    L = layout.lines_per_block
     per_line = _per_line_compute_cycles(wl, cpu)
+    base = [layout.block_addr(0, b) for b in range(layout.blocks_per_stripe)]
     sources = _source_blocks(wl)
     dests = _dest_blocks(wl)
+    reloads = dests[:wl.erasures if wl.op == "decode" else wl.m]
     groups = [sources[c:c + g] for c in range(0, wl.k, g)]
-    trace = Trace()
-    add = trace.add
-    order = _row_order(L, variant.shuffle)
-    for s in range(stripe_offset, stripe_offset + wl.stripes_per_thread):
-        for p, cols in enumerate(groups):
-            for r in order:
-                for j in cols:
-                    add(LOAD, layout.line_addr(s, j, r))
-                if p:
-                    # Reload the partial result written by the last pass.
-                    for dest in dests[:wl.erasures if wl.op == "decode" else wl.m]:
-                        add(LOAD, layout.line_addr(s, dest, r))
-                add(COMPUTE, per_line * len(cols))
-                for dest in dests:
-                    if p == len(groups) - 1 or dest < wl.k + wl.m:
-                        add(STORE, layout.line_addr(s, dest, r))
-        add(FENCE, 0)
-    trace.data_bytes = wl.stripes_per_thread * wl.stripe_data_bytes
-    return trace
+    row_off = [r * LINE for r in _row_order(layout.lines_per_block,
+                                            variant.shuffle)]
+    kernel = Trace(data_bytes=wl.stripe_data_bytes)
+    add = kernel.add
+    for p, cols in enumerate(groups):
+        # Only the last pass writes the LRC extras; every pass rewrites
+        # the (partial) parity.
+        stores = [base[dest] for dest in dests
+                  if p == len(groups) - 1 or dest < wl.k + wl.m]
+        for roff in row_off:
+            for j in cols:
+                add(LOAD, base[j] + roff)
+            if p:
+                # Reload the partial result written by the last pass.
+                for dest in reloads:
+                    add(LOAD, base[dest] + roff)
+            add(COMPUTE, per_line * len(cols))
+            for b in stores:
+                add(STORE, b + roff)
+    add(FENCE, 0)
+    return tile(kernel, wl.stripes_per_thread, layout.stripe_stride,
+                stripe_offset)

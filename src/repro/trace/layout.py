@@ -61,6 +61,11 @@ class StripeLayout:
         return self.k + self.m + self.extra_blocks
 
     @property
+    def stripe_stride(self) -> int:
+        """Bytes from one stripe's first block to the next's (whole pages)."""
+        return self.blocks_per_stripe * self.pages_per_block * PAGE
+
+    @property
     def thread_base(self) -> int:
         return (self.thread + 1) << 44
 

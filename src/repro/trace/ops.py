@@ -23,16 +23,20 @@ sequence proxy yielding ``(opcode, arg)`` tuples that supports
 callers (and tests) that treat a trace as a list of tuples keep
 working unmodified.
 
-Generators build traces through :meth:`Trace.add`, which *coalesces
-consecutive COMPUTE ops* (summing their cycle counts) at generation
-time — runs of pure compute (common in XOR-schedule traces, where
+Generators build one stripe's *kernel*, op by op, through
+:meth:`Trace.add`, which *coalesces consecutive COMPUTE ops* (summing
+their cycle counts) — runs of pure compute (common in XOR-schedule traces, where
 parity-source program steps emit no loads) collapse into one op before
-the simulator ever sees them.
+the simulator ever sees them. :func:`tile` then repeats the kernel once
+per stripe with array arithmetic, shifting every address by the
+stripe's stride; no per-op Python runs for the other stripes.
 """
 
 from __future__ import annotations
 
 from array import array
+
+import numpy as np
 
 LOAD = 0
 STORE = 1
@@ -219,3 +223,30 @@ class Trace:
 
     def __setstate__(self, state):
         self.opcodes, self.args, self.data_bytes = state
+
+
+def tile(kernel: Trace, stripes: int, stride: int,
+         first_stripe: int = 0) -> Trace:
+    """Repeat a one-stripe kernel ``stripes`` times.
+
+    ``kernel`` holds stripe 0's ops; copy ``i`` is shifted to stripe
+    ``first_stripe + i``: its LOAD/STORE/SWPF addresses gain
+    ``(first_stripe + i) * stride`` and its COMPUTE/FENCE args stay
+    as they are. This equals emitting every stripe through
+    :meth:`Trace.add` because the kernel ends in FENCE (so no COMPUTE
+    coalesces across a stripe boundary) and addresses stay below
+    2**53 (so the float adds are exact). ``data_bytes`` scales with
+    the copies.
+    """
+    if not kernel.opcodes or kernel.opcodes[-1] != FENCE:
+        raise ValueError("a tiled kernel must be non-empty and end in FENCE")
+    out = Trace(data_bytes=kernel.data_bytes * stripes)
+    out.opcodes = kernel.opcodes * stripes
+    out.args = kernel.args * stripes
+    # LOAD, STORE and SWPF are opcodes 0-2: the address-carrying ops.
+    cols = np.flatnonzero(np.frombuffer(kernel.opcodes, np.uint8) <= SWPF)
+    shift = np.arange(first_stripe, first_stripe + stripes,
+                      dtype=np.float64) * stride
+    args = np.frombuffer(out.args, np.float64).reshape(stripes, -1)
+    args[:, cols] += shift[:, None]
+    return out

@@ -9,15 +9,40 @@ the L2 streamer rarely trains), and the compute is XOR-only AVX256.
 
 Parity and temporary packets are held as in-cache accumulators; parity
 packets are flushed with non-temporal stores at the end of each stripe.
+The program runs once, for stripe 0; :func:`repro.trace.tile` repeats
+that kernel over the thread's stripes.
 """
 
 from __future__ import annotations
 
 from repro.simulator.params import CPUConfig
 from repro.trace.layout import StripeLayout, LINE
-from repro.trace.ops import LOAD, STORE, COMPUTE, FENCE, Trace
+from repro.trace.ops import LOAD, STORE, COMPUTE, FENCE, Trace, tile
 from repro.trace.workload import Workload
 from repro.xorsched.schedule import XorSchedule
+
+
+def _packet_addrs(layout: StripeLayout, blocks: list[int],
+                  w: int) -> list[list[int]]:
+    """Stripe-0 line addresses of packet ``i * w + p`` (packet p of
+    ``blocks[i]``).
+
+    Packet p occupies bytes [p*pkt, (p+1)*pkt) of its block; sub-line
+    packets share cachelines (the loads then mostly hit L2).
+    """
+    pkt_bytes = layout.block_bytes // w
+    return [[layout.block_addr(0, b) + l * LINE
+             for l in range(p * pkt_bytes // LINE,
+                            (p * pkt_bytes + pkt_bytes - 1) // LINE + 1)]
+            for b in blocks for p in range(w)]
+
+
+def _emit_parity(layout: StripeLayout, k: int, m: int, op: int, add) -> None:
+    """One ``op`` (LOAD or STORE) per line of the m parity blocks."""
+    for i in range(m):
+        base = layout.block_addr(0, k + i)
+        for l in range(layout.lines_per_block):
+            add(op, base + l * LINE)
 
 
 def xor_schedule_trace(wl: Workload, cpu: CPUConfig, schedule: XorSchedule,
@@ -36,39 +61,22 @@ def xor_schedule_trace(wl: Workload, cpu: CPUConfig, schedule: XorSchedule,
     layout = StripeLayout(wl.k, wl.m, wl.block_bytes, thread=thread)
     if wl.block_bytes < w:
         raise ValueError(f"block must be >= w={w} bytes for bitmatrix codes")
-    # Packet p of block j occupies bytes [p*pkt, (p+1)*pkt) of the block;
-    # sub-line packets share cachelines (the loads then mostly hit L2).
-    pkt_bytes = wl.block_bytes // w
-    packet_lines = [
-        range(p * pkt_bytes // LINE, (p * pkt_bytes + pkt_bytes - 1) // LINE + 1)
-        for p in range(w)
-    ]
-    lines_per_packet = max(1, pkt_bytes // LINE)
-
+    packets = _packet_addrs(layout, list(range(k)), w)
+    cycles = cpu.xor_cycles_per_line * max(1, wl.block_bytes // w // LINE) \
+        + cpu.loop_overhead_cycles
+    kernel = Trace(data_bytes=wl.stripe_data_bytes)
+    add = kernel.add
     kw = k * w
-    xor_c = cpu.xor_cycles_per_line
-    ovh = cpu.loop_overhead_cycles
-    trace = Trace()
-    add = trace.add
-    stripes = wl.stripes_per_thread
-    sched_ops = schedule.ops
-    for s in range(stripes):
-        for op, dst, src in sched_ops:
-            if src < kw:
-                j, p = divmod(src, w)
-                base = layout.block_addr(s, j)
-                for l in packet_lines[p]:
-                    add(LOAD, base + l * LINE)
-            # dst (parity/temp) stays register/cache resident.
-            add(COMPUTE, (xor_c * lines_per_packet) + ovh)
-        # Flush parity packets with NT stores.
-        for i in range(m):
-            base = layout.block_addr(s, k + i)
-            for l in range(layout.lines_per_block):
-                add(STORE, base + l * LINE)
-        add(FENCE, 0)
-    trace.data_bytes = stripes * wl.stripe_data_bytes
-    return trace
+    for op, dst, src in schedule.ops:
+        if src < kw:
+            for addr in packets[src]:
+                add(LOAD, addr)
+        # dst (parity/temp) stays register/cache resident.
+        add(COMPUTE, cycles)
+    # Flush parity packets with NT stores.
+    _emit_parity(layout, k, m, STORE, add)
+    add(FENCE, 0)
+    return tile(kernel, wl.stripes_per_thread, layout.stripe_stride)
 
 
 def xor_decomposed_trace(wl: Workload, cpu: CPUConfig,
@@ -82,39 +90,23 @@ def xor_decomposed_trace(wl: Workload, cpu: CPUConfig,
     traffic) — the decompose costs the paper quantifies in §5.2/§5.7.
     """
     layout = StripeLayout(wl.k, wl.m, wl.block_bytes, thread=thread)
-    L = layout.lines_per_block
-    xor_c = cpu.xor_cycles_per_line
-    ovh = cpu.loop_overhead_cycles
-    trace = Trace()
-    add = trace.add
-    for s in range(wl.stripes_per_thread):
-        for p, (sched, cols) in enumerate(group_schedules):
-            w = sched.w
-            if sched.m != wl.m or sched.k != len(cols):
-                raise ValueError("group schedule geometry mismatch")
-            pkt_bytes = wl.block_bytes // w
-            packet_lines = [
-                range(q * pkt_bytes // LINE,
-                      (q * pkt_bytes + pkt_bytes - 1) // LINE + 1)
-                for q in range(w)
-            ]
-            if p:  # reload partial parity written by the previous pass
-                for i in range(wl.m):
-                    base = layout.block_addr(s, wl.k + i)
-                    for l in range(L):
-                        add(LOAD, base + l * LINE)
-            kw = sched.k * w
-            for op, dst, src in sched.ops:
-                if src < kw:
-                    j, q = divmod(src, w)
-                    base = layout.block_addr(s, cols[j])
-                    for l in packet_lines[q]:
-                        add(LOAD, base + l * LINE)
-                add(COMPUTE, xor_c * max(1, pkt_bytes // LINE) + ovh)
-            for i in range(wl.m):
-                base = layout.block_addr(s, wl.k + i)
-                for l in range(L):
-                    add(STORE, base + l * LINE)
-        add(FENCE, 0)
-    trace.data_bytes = wl.stripes_per_thread * wl.stripe_data_bytes
-    return trace
+    kernel = Trace(data_bytes=wl.stripe_data_bytes)
+    add = kernel.add
+    for p, (sched, cols) in enumerate(group_schedules):
+        w = sched.w
+        if sched.m != wl.m or sched.k != len(cols):
+            raise ValueError("group schedule geometry mismatch")
+        packets = _packet_addrs(layout, cols, w)
+        cycles = cpu.xor_cycles_per_line * max(1, wl.block_bytes // w // LINE) \
+            + cpu.loop_overhead_cycles
+        if p:  # reload partial parity written by the previous pass
+            _emit_parity(layout, wl.k, wl.m, LOAD, add)
+        kw = sched.k * w
+        for op, dst, src in sched.ops:
+            if src < kw:
+                for addr in packets[src]:
+                    add(LOAD, addr)
+            add(COMPUTE, cycles)
+        _emit_parity(layout, wl.k, wl.m, STORE, add)
+    add(FENCE, 0)
+    return tile(kernel, wl.stripes_per_thread, layout.stripe_stride)
