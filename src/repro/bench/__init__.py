@@ -9,16 +9,13 @@ runs them and persists ``<id>.txt``/``<id>.json`` under
 ``benchmarks/results/``; ``scripts/make_experiments_md.py`` renders
 that JSON into EXPERIMENTS.md.
 
-Set ``REPRO_BENCH_SCALE`` (float) to shrink/grow simulated data volumes.
+``--volume`` sets the simulated data volume per point.
 """
 
 from repro.bench.report import FigureResult, Check, fmt_value
 from repro.bench.runner import (
     run_libraries,
-    run_spec,
-    scaled,
     standard_libraries,
-    sweep_results_table,
     sweep_spec,
 )
 from repro.bench.sweep import benchmark_sweep, full_grid, smoke_grid
@@ -31,10 +28,7 @@ __all__ = [
     "fmt_value",
     "run_libraries",
     "standard_libraries",
-    "scaled",
     "sweep_spec",
-    "run_spec",
-    "sweep_results_table",
     "benchmark_sweep",
     "smoke_grid",
     "full_grid",

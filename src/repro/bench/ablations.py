@@ -9,7 +9,6 @@ distances, and the shuffle mapping itself.
 from __future__ import annotations
 
 from repro.bench.report import FigureResult
-from repro.bench.runner import scaled
 from repro.core import DialgaConfig, DialgaEncoder, Policy, eq1_max_distance
 from repro.simulator import HardwareConfig, simulate
 from repro.trace import IsalVariant, Workload, isal_trace
@@ -29,7 +28,7 @@ def ablation_stream_table(volume: int | None = None) -> FigureResult:
     The paper observes 32 unidirectional streams on Cascade Lake and 64
     on 3rd-gen Xeon; the throughput cliff must track the knob.
     """
-    vol = volume or scaled(128 * 1024)
+    vol = volume or 128 * 1024
     fig = FigureResult(
         "ablation_stream_table",
         "Stripe-width cliff vs stream-table capacity (4KB blocks, m=4)",
@@ -60,7 +59,7 @@ def ablation_stream_table(volume: int | None = None) -> FigureResult:
 
 def ablation_read_buffer(volume: int | None = None) -> FigureResult:
     """Thrash onset tracks the read-buffer capacity (48/96/192 KB)."""
-    vol = volume or scaled(48 * 1024)
+    vol = volume or 48 * 1024
     fig = FigureResult(
         "ablation_read_buffer",
         "RS(28,24) 1KB prefetch-off scalability vs PM read-buffer size",
@@ -99,7 +98,7 @@ def ablation_eq1_cap(volume: int | None = None) -> FigureResult:
     the unadapted low-pressure policy (long buffer-friendly distances,
     streamer on) — the switch Fig. 13's stability comes from.
     """
-    vol = volume or scaled(48 * 1024)
+    vol = volume or 48 * 1024
     fig = FigureResult(
         "ablation_eq1_cap",
         "Eq. (1)-capped high-pressure policy vs unadapted low-pressure "
@@ -136,7 +135,7 @@ def ablation_eq1_cap(volume: int | None = None) -> FigureResult:
 
 def ablation_hillclimb(volume: int | None = None) -> FigureResult:
     """Hill-climbed distance vs the d=k initialization (single thread)."""
-    vol = volume or scaled(128 * 1024)
+    vol = volume or 128 * 1024
     fig = FigureResult(
         "ablation_hillclimb",
         "Hill-climbed vs fixed (d=k) software-prefetch distance",
@@ -162,7 +161,7 @@ def ablation_hillclimb(volume: int | None = None) -> FigureResult:
 
 def ablation_shuffle(volume: int | None = None) -> FigureResult:
     """The shuffle mapping acts as a hardware-prefetcher off switch."""
-    vol = volume or scaled(128 * 1024)
+    vol = volume or 128 * 1024
     fig = FigureResult(
         "ablation_shuffle",
         "Shuffle mapping vs BIOS-style prefetcher disable (RS(28,24) 1KB)",
@@ -194,7 +193,7 @@ def ablation_generality(volume: int | None = None) -> FigureResult:
     must persist there; a 3rd-gen Xeon (64-stream streamer) merely
     moves the wide-stripe cliff.
     """
-    vol = volume or scaled(128 * 1024)
+    vol = volume or 128 * 1024
     from repro.libs import ISAL
     from repro.simulator.presets import get_preset
     fig = FigureResult(
@@ -232,7 +231,7 @@ def ablation_vast_width(volume: int | None = None) -> FigureResult:
     stays at its no-prefetch floor, decomposition recovers some, DIALGA
     keeps scaling because software prefetching tracks no streams.
     """
-    vol = volume or scaled(192 * 1024)
+    vol = volume or 192 * 1024
     from repro.libs import ISAL, ISALDecompose
     fig = FigureResult(
         "ablation_vast_width",
@@ -273,7 +272,7 @@ def extension_update_path(volume: int | None = None) -> FigureResult:
     + parities), so pipelined software prefetching should transfer.
     Not a paper figure — an extension experiment.
     """
-    vol = volume or scaled(96 * 1024)
+    vol = volume or 96 * 1024
     from repro.trace.update_gen import update_trace
     fig = FigureResult(
         "extension_update_path",
@@ -306,7 +305,7 @@ def extension_gain_heatmap(volume: int | None = None) -> FigureResult:
     blocks at moderate width (where it doesn't). Not a paper figure —
     it interpolates Figs. 10 and 12 into one picture.
     """
-    vol = volume or scaled(96 * 1024)
+    vol = volume or 96 * 1024
     from repro.libs import ISAL
     fig = FigureResult(
         "extension_gain_heatmap",

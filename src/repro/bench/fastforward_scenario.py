@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 
 from repro.bench.report import FigureResult
-from repro.bench.runner import scaled
 from repro.simulator import HardwareConfig, simulate
 from repro.trace import IsalVariant, Workload, isal_trace
 from repro.trace.update_gen import update_trace
@@ -81,8 +80,7 @@ def fastforward_scenario(volume: int | None = None,
     """Fast-forward vs interpretation: byte-identity, >=5x long-encode
     speedup, aperiodic fallback."""
     hw = HardwareConfig()
-    long_bytes = volume if volume is not None else scaled(
-        _stripe_volume(9600))
+    long_bytes = volume if volume is not None else _stripe_volume(9600)
     long_stripes = max(1, long_bytes // _stripe_volume(1))
     side_stripes = max(1, min(2400, long_stripes // 4))
 
@@ -105,7 +103,7 @@ def fastforward_scenario(volume: int | None = None,
                                 hw),
     }
     wl_update = Workload(k=8, m=4, block_bytes=1024,
-                         data_bytes_per_thread=scaled(_stripe_volume(64)))
+                         data_bytes_per_thread=_stripe_volume(64))
     rows["update_aperiodic"] = _row(fig, "update_aperiodic",
                                     update_trace(wl_update, hw.cpu), hw)
 

@@ -13,7 +13,7 @@ use (k, m) directly, so the paper's RS(12, 8) is ``k=8, m=4``.
 from __future__ import annotations
 
 from repro.bench.report import FigureResult
-from repro.bench.runner import scaled, standard_libraries
+from repro.bench.runner import standard_libraries
 from repro.core import DialgaConfig, DialgaEncoder, Policy
 from repro.libs import ISAL, ISALDecompose, Cerasure, Zerasure
 from repro.simulator import HardwareConfig, simulate
@@ -39,7 +39,7 @@ def _gain(a: float, b: float) -> float:
 
 def fig03(volume: int | None = None) -> FigureResult:
     """Fig. 3: RS(12,8) encode throughput by load source x HW prefetch."""
-    vol = volume or scaled(192 * 1024)
+    vol = volume or 192 * 1024
     fig = FigureResult(
         "fig03", "Encoding throughput with different load sources (RS(12,8), 1KB)",
         ["throughput_gbps", "stall_ns_per_load"])
@@ -77,7 +77,7 @@ def fig03(volume: int | None = None) -> FigureResult:
 
 def fig04(volume: int | None = None) -> FigureResult:
     """Fig. 4: encode throughput vs CPU frequency (PM flattens >2 GHz)."""
-    vol = volume or scaled(128 * 1024)
+    vol = volume or 128 * 1024
     fig = FigureResult(
         "fig04", "Encoding throughput with different CPU frequencies (RS(12,8))",
         ["pm_gbps", "dram_gbps", "pm_avx256_gbps"])
@@ -111,7 +111,7 @@ def fig04(volume: int | None = None) -> FigureResult:
 
 def fig05(volume: int | None = None) -> FigureResult:
     """Fig. 5: stripe-width sweep (4 KB blocks): the k=32 streamer cliff."""
-    vol = volume or scaled(192 * 1024)
+    vol = volume or 192 * 1024
     fig = FigureResult(
         "fig05", "Impact of stripe width k (m=4, 4KB blocks, HW prefetch on)",
         ["throughput_gbps", "useless_pf_ratio", "l2_pf_per_load"])
@@ -145,7 +145,7 @@ def fig05(volume: int | None = None) -> FigureResult:
 
 def fig06(volume: int | None = None) -> FigureResult:
     """Fig. 6: block-size sweep for RS(28,24): amp at 1-3KB, best at 4KB."""
-    vol = volume or scaled(192 * 1024)
+    vol = volume or 192 * 1024
     fig = FigureResult(
         "fig06", "RS(28,24) throughput and media read amplification vs block size",
         ["pf_on_gbps", "pf_off_gbps", "media_amp"])
@@ -189,7 +189,7 @@ def fig06(volume: int | None = None) -> FigureResult:
 
 def fig07(volume: int | None = None) -> FigureResult:
     """Fig. 7: multithread scalability of RS(28,24), HW prefetch on/off."""
-    vol = volume or scaled(64 * 1024)
+    vol = volume or 64 * 1024
     fig = FigureResult(
         "fig07", "Multi-thread scalability of RS(28,24) 1KB encoding",
         ["pf_on_gbps", "pf_off_gbps", "media_amp_on"])
@@ -231,8 +231,8 @@ LIB_COLS = ["ISA-L", "ISA-L-D", "Zerasure", "Cerasure", "DIALGA"]
 
 def fig10(volume: int | None = None) -> FigureResult:
     """Fig. 10: encode throughput vs stripe width, all five libraries."""
-    vol = volume or scaled(160 * 1024)
-    xvol = volume or scaled(48 * 1024)
+    vol = volume or 160 * 1024
+    xvol = volume or 48 * 1024
     fig = FigureResult(
         "fig10", "Encoding throughput vs number of data blocks (1KB, m=4)",
         LIB_COLS)
@@ -302,8 +302,8 @@ def fig10(volume: int | None = None) -> FigureResult:
 
 def fig11(volume: int | None = None) -> FigureResult:
     """Fig. 11: encode throughput vs number of parity blocks m."""
-    vol = volume or scaled(128 * 1024)
-    xvol = volume or scaled(48 * 1024)
+    vol = volume or 128 * 1024
+    xvol = volume or 48 * 1024
     fig = FigureResult(
         "fig11", "Encoding throughput vs parity count m (1KB blocks)",
         ["ISA-L", "Cerasure", "DIALGA"])
@@ -345,8 +345,8 @@ def fig11(volume: int | None = None) -> FigureResult:
 
 def fig12(volume: int | None = None) -> FigureResult:
     """Fig. 12: encode throughput vs block size, all libraries."""
-    vol = volume or scaled(128 * 1024)
-    xvol = volume or scaled(48 * 1024)
+    vol = volume or 128 * 1024
+    xvol = volume or 48 * 1024
     fig = FigureResult(
         "fig12", "Encoding throughput vs block size (RS(28,24), m=4)",
         LIB_COLS)
@@ -393,7 +393,7 @@ def fig12(volume: int | None = None) -> FigureResult:
 
 def fig13(volume: int | None = None) -> FigureResult:
     """Fig. 13: multithread scalability, DIALGA vs ISA-L vs decompose."""
-    vol = volume or scaled(40 * 1024)
+    vol = volume or 40 * 1024
     fig = FigureResult(
         "fig13", "Multi-thread encoding scalability",
         ["ISA-L", "ISA-L-D", "DIALGA"])
@@ -451,8 +451,8 @@ def fig13(volume: int | None = None) -> FigureResult:
 
 def fig14(volume: int | None = None) -> FigureResult:
     """Fig. 14: decoding throughput vs stripe width."""
-    vol = volume or scaled(96 * 1024)
-    xvol = volume or scaled(32 * 1024)
+    vol = volume or 96 * 1024
+    xvol = volume or 32 * 1024
     fig = FigureResult(
         "fig14", "Decoding throughput vs stripe width (m=4 erasures, 1KB)",
         ["ISA-L", "Zerasure", "Cerasure", "DIALGA"])
@@ -498,7 +498,7 @@ def fig14(volume: int | None = None) -> FigureResult:
 
 def fig15(volume: int | None = None) -> FigureResult:
     """Fig. 15: AVX512 vs AVX256 encode throughput."""
-    vol = volume or scaled(128 * 1024)
+    vol = volume or 128 * 1024
     fig = FigureResult(
         "fig15", "Encoding throughput with different SIMD widths (1KB)",
         ["ISA-L_avx512", "ISA-L_avx256", "DIALGA_avx512", "DIALGA_avx256"])
@@ -533,8 +533,8 @@ def fig15(volume: int | None = None) -> FigureResult:
 
 def fig16(volume: int | None = None) -> FigureResult:
     """Fig. 16: LRC encoding throughput."""
-    vol = volume or scaled(96 * 1024)
-    xvol = volume or scaled(32 * 1024)
+    vol = volume or 96 * 1024
+    xvol = volume or 32 * 1024
     fig = FigureResult(
         "fig16", "LRC(k,m,l) encoding throughput (1KB blocks)",
         ["ISA-L", "ISA-L-D", "Cerasure", "DIALGA", "DIALGA_RS"])
@@ -588,7 +588,7 @@ def fig16(volume: int | None = None) -> FigureResult:
 
 def fig17(volume: int | None = None) -> FigureResult:
     """Fig. 17: cache miss cycles per load, normalized to ISA-L."""
-    vol = volume or scaled(128 * 1024)
+    vol = volume or 128 * 1024
     fig = FigureResult(
         "fig17", "Cache miss (stall) cycles per load, normalized to ISA-L",
         ["ISA-L", "ISA-L-D", "DIALGA"])
@@ -619,7 +619,7 @@ def fig17(volume: int | None = None) -> FigureResult:
 
 def fig18(volume: int | None = None) -> FigureResult:
     """Fig. 18: ablation breakdown Vanilla -> +SW -> +HW -> +BF."""
-    vol = volume or scaled(160 * 1024)
+    vol = volume or 160 * 1024
     fig = FigureResult(
         "fig18", "Breakdown of 1KB encoding throughput (single thread)",
         ["Vanilla", "+SW", "+HW", "+BF"])
@@ -679,7 +679,7 @@ def fig18(volume: int | None = None) -> FigureResult:
 
 def fig19(volume: int | None = None) -> FigureResult:
     """Fig. 19: read traffic by layer under low/high pressure."""
-    vol = volume or scaled(64 * 1024)
+    vol = volume or 64 * 1024
     fig = FigureResult(
         "fig19", "Read traffic at encode/controller/media layers (RS(28,24) 1KB)",
         ["ctrl_amp", "media_amp", "throughput_gbps"])

@@ -68,11 +68,6 @@ class FigureResult:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def pass_fraction(self) -> float:
-        return (sum(c.passed for c in self.checks) / len(self.checks)
-                if self.checks else 1.0)
-
     def table_str(self) -> str:
         """Fixed-width table of the measured series."""
         headers = ["point"] + self.columns
@@ -133,13 +128,3 @@ class FigureResult:
                    notes=list(data["notes"]),
                    host_columns=list(data.get("host_columns", [])))
 
-    def to_csv(self) -> str:
-        """The measured series as CSV (header + one line per point)."""
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["point"] + self.columns)
-        for label, values in self.rows:
-            writer.writerow([label] + [values.get(c) for c in self.columns])
-        return buf.getvalue()

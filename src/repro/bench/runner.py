@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-import os
-
 from repro.core.dialga import DialgaConfig, DialgaEncoder
 from repro.libs import ISAL, ISALDecompose, Zerasure, Cerasure
 from repro.libs.base import CodingLibrary, LibraryResult, UnsupportedWorkload
-from repro.parallel import SweepResult, SweepSpec, run_sweep
+from repro.parallel import SweepSpec
 from repro.simulator import HardwareConfig
 from repro.trace import Workload
-
-
-def scaled(nbytes: int) -> int:
-    """Apply the ``REPRO_BENCH_SCALE`` volume multiplier (min 8 KiB)."""
-    factor = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    return max(8 * 1024, int(nbytes * factor))
 
 
 def standard_libraries(k: int, m: int,
@@ -66,36 +58,12 @@ def sweep_spec(workloads, libraries=("ISA-L", "ISA-L-D", "Zerasure",
 
     Same axes the per-figure loops iterate — the paper's library set
     crossed with workloads and (optionally several) hardware configs —
-    expressed as one declarative grid that :func:`run_spec` can fan out
-    over a process pool or memoize.
+    expressed as one declarative grid that
+    :func:`~repro.parallel.run_sweep` can fan out over a process pool
+    or memoize.
     """
     if isinstance(workloads, Workload):
         workloads = (workloads,)
     kwargs = {"DIALGA": dialga_kwargs} if dialga_kwargs else ()
     return SweepSpec(libraries=tuple(libraries), workloads=tuple(workloads),
                      hardware=hardware or (), library_kwargs=kwargs)
-
-
-def run_spec(spec: SweepSpec, workers: int = 1,
-             cache=None) -> SweepResult:
-    """Run a sweep grid; thin alias of :func:`repro.parallel.run_sweep`
-    so bench callers stay within one import."""
-    return run_sweep(spec, workers=workers, cache=cache)
-
-
-def sweep_results_table(result: SweepResult) -> dict[str, list[float | None]]:
-    """Per-library throughput series (grid order) from a sweep result —
-    the shape the figure renderers consume; unsupported cells are None."""
-    return {
-        lib: [r.throughput_gbps if r.supported and r.error is None else None
-              for r in rows]
-        for lib, rows in result.by_library().items()
-    }
-
-
-def best_other(results: dict[str, LibraryResult | None],
-               exclude: str = "DIALGA") -> float | None:
-    """Best non-DIALGA throughput (the paper's comparison baseline)."""
-    vals = [r.throughput_gbps for name, r in results.items()
-            if r is not None and name != exclude]
-    return max(vals) if vals else None

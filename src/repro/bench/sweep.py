@@ -17,7 +17,7 @@ import pathlib
 import sys
 import time
 
-from repro.bench.runner import scaled, sweep_spec
+from repro.bench.runner import sweep_spec
 from repro.parallel import ContentCache, SweepSpec, fingerprint, run_sweep
 from repro.trace import Workload
 
@@ -28,7 +28,7 @@ def smoke_grid(volume: int | None = None) -> SweepSpec:
     Sized so the serial pass stays in single-digit seconds while the
     cells are heavy enough for the pool to beat process start-up cost.
     """
-    vol = volume if volume is not None else scaled(1 << 20)
+    vol = volume if volume is not None else 1 << 20
     return sweep_spec(
         workloads=[
             Workload(k=4, m=2, block_bytes=1024, data_bytes_per_thread=vol),
@@ -42,7 +42,7 @@ def smoke_grid(volume: int | None = None) -> SweepSpec:
 
 def full_grid(volume: int | None = None) -> SweepSpec:
     """The paper's §5.1 comparison set over the figure geometries."""
-    vol = volume if volume is not None else scaled(1 << 20)
+    vol = volume if volume is not None else 1 << 20
     return sweep_spec(
         workloads=[
             Workload(k=k, m=m, block_bytes=bb, data_bytes_per_thread=vol)
@@ -55,15 +55,14 @@ def full_grid(volume: int | None = None) -> SweepSpec:
 GRIDS = {"smoke": smoke_grid, "full": full_grid}
 
 
-def benchmark_sweep(spec: SweepSpec, workers: int = 2,
-                    cache: ContentCache | None = None) -> dict:
+def benchmark_sweep(spec: SweepSpec, workers: int = 2) -> dict:
     """Serial-cold / parallel-cold / warm comparison over one grid.
 
     Returns a JSON-able report: the three wall-clocks, the speedups,
     the bit-identity verdicts, and a content fingerprint of the result
     payload.
     """
-    cache = cache or ContentCache()
+    cache = ContentCache()
 
     t0 = time.perf_counter()
     serial = run_sweep(spec, workers=1)
@@ -148,14 +147,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", type=pathlib.Path, default=None,
                         help="write the full report (incl. per-cell "
                              "results) to this path")
-    parser.add_argument("--disk-cache", action="store_true",
-                        help="persist the content cache under "
-                             "~/.cache/repro (REPRO_CACHE_DIR)")
     args = parser.parse_args(argv)
 
     spec = GRIDS[args.grid](args.volume)
-    cache = ContentCache(disk=args.disk_cache)
-    report = benchmark_sweep(spec, workers=args.workers, cache=cache)
+    report = benchmark_sweep(spec, workers=args.workers)
     print(render_report(report))
 
     if args.json is not None:

@@ -10,7 +10,7 @@ the same campaign (same seed) produces a byte-identical report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 #: Action kinds the engine knows how to apply.
 ACTION_KINDS = frozenset({
@@ -171,10 +171,6 @@ class Campaign:
             raise ValueError(
                 f"{len(late)} action(s) scheduled past the campaign "
                 f"duration {self.duration_ns} ns")
-
-    def with_seed(self, seed: int) -> "Campaign":
-        """The same schedule under a different seed."""
-        return replace(self, seed=seed)
 
     def schedule(self) -> list[ChaosAction]:
         """Actions in firing order (stable for equal times)."""

@@ -34,11 +34,6 @@ class LRCCode:
         self.field = field or gf8
         self.rs = RSCode(k, m, field=self.field)
 
-    @property
-    def total_blocks(self) -> int:
-        """k + m + l blocks per stripe."""
-        return self.k + self.m + self.l
-
     def group_of(self, data_index: int) -> int:
         """Local group that data block ``data_index`` belongs to."""
         if not 0 <= data_index < self.k:

@@ -8,20 +8,17 @@ Public API
 ----------
 ``GF``            vectorized field arithmetic for w in {4, 8, 16}
 ``GFTables``      raw log/exp/(mul) tables built from a primitive polynomial
-``GFPolynomial``  dense polynomials over a field
 ``gf8``           module-level shared GF(2^8) instance (the paper's field)
 ``element_bitmatrix`` / ``matrix_to_bitmatrix``  bit-level projections
 """
 
 from repro.gf.tables import GFTables, PRIMITIVE_POLYNOMIALS
 from repro.gf.arithmetic import GF, gf4, gf8, gf16
-from repro.gf.polynomial import GFPolynomial
 from repro.gf.bitmatrix import element_bitmatrix, matrix_to_bitmatrix, bitmatrix_xor_count
 
 __all__ = [
     "GF",
     "GFTables",
-    "GFPolynomial",
     "PRIMITIVE_POLYNOMIALS",
     "gf4",
     "gf8",

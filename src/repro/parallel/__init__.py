@@ -3,9 +3,8 @@
 The ROADMAP's "fast as the hardware allows" goal applied to the repro
 itself: benchmark grids fan out over a process pool with results
 reassembled deterministically (:func:`run_sweep`), and pure
-(configuration → trace → simulation) work memoizes under sha256
-content fingerprints (:class:`ContentCache`), in memory and optionally
-on disk under ``~/.cache/repro/``.
+(configuration → trace → simulation) work memoizes in memory under
+sha256 content fingerprints (:class:`ContentCache`).
 
 Quickstart::
 
@@ -15,15 +14,14 @@ Quickstart::
     warm = run_sweep(spec, workers=1, cache=cache)
     assert cold == warm  # bit-identical, near-free
 
-See ``docs/performance.md`` for the determinism guarantees and cache
-layout.
+See ``docs/performance.md`` for the determinism guarantees and the
+cache.
 """
 
 from repro.parallel.cache import (
     ContentCache,
     SimCache,
     canonical,
-    default_cache_dir,
     fingerprint,
     install_sim_cache,
     sim_cache,
@@ -43,7 +41,6 @@ __all__ = [
     "ContentCache",
     "SimCache",
     "canonical",
-    "default_cache_dir",
     "fingerprint",
     "install_sim_cache",
     "sim_cache",

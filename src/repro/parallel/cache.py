@@ -7,55 +7,38 @@ equal outputs, bit for bit. Keys are sha256 digests of a canonical
 encoding of those inputs (exact float encoding, sorted keys, type
 tags), so any change to any input — a prefetcher knob, a block size,
 a DIALGA threshold — produces a different key and never a stale hit.
-Keys also carry :func:`code_digest`, so no entry outlives its code.
+The store lives in one process, so no entry outlives the code that
+made it.
 
-Three layers use this module:
+Two layers use this module:
 
 * :func:`repro.simulate` — when a cache is installed (see
   :func:`install_sim_cache` / :func:`sim_cache`), repeated
-  (trace, hardware) simulations are served from memory;
+  (trace, hardware) simulations are served from memory; counterfactual
+  replay (:mod:`repro.obs.replay`) installs one;
 * :func:`repro.parallel.run_sweep` — whole sweep cells
   (library × workload × hardware × policy) memoize their results;
-* benchmarks — a warm cache makes repeated figure/ablation cells
-  near-free.
+  ``python -m repro.bench sweep`` times a warm pass.
 
-Values are stored *pickled*, in memory and optionally on disk under
-``~/.cache/repro/`` (override with ``REPRO_CACHE_DIR``). Storing bytes
-rather than live objects means every :meth:`ContentCache.get` returns
-a fresh object — callers may mutate results (merge counters, attach
-metadata) without corrupting the cache.
+Values are stored *pickled*, in memory. Storing bytes rather than
+live objects means every :meth:`ContentCache.get` returns a fresh
+object — callers may mutate results (merge counters, attach metadata)
+without corrupting the cache.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
-import os
 import pickle
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
-from pathlib import Path
 
 from repro.simulator import api as _sim_api
 from repro.simulator.multicore import simulate as _simulate_raw
 from repro.trace.ops import Trace
 
 # -- fingerprinting ------------------------------------------------------
-
-
-@functools.cache
-def code_digest() -> str:
-    """sha256 of every ``repro/**/*.py`` (sorted relative path, then
-    bytes), once per process: the whole package, so no edit is missed."""
-    root = Path(__file__).resolve().parent.parent
-    h = hashlib.sha256()
-    for rel in sorted(p.relative_to(root).as_posix()
-                      for p in root.rglob("*.py")):
-        data = (root / rel).read_bytes()
-        h.update(f"{rel}\0{len(data)}\0".encode())
-        h.update(data)
-    return h.hexdigest()
 
 
 def canonical(obj):
@@ -112,7 +95,7 @@ def sim_key(traces, hw, batch_ops: int = 1,
     ``SimResult.fastforward`` stats differ between the two paths.
     """
     h = hashlib.sha256()
-    h.update(f"sim:{code_digest()}:{fingerprint(hw)}:{batch_ops}:"
+    h.update(f"sim:{fingerprint(hw)}:{batch_ops}:"
              f"{int(fastforward)}:{len(traces)}".encode())
     for t in traces:
         h.update(t.content_key())
@@ -122,59 +105,20 @@ def sim_key(traces, hw, batch_ops: int = 1,
 # -- the store -----------------------------------------------------------
 
 
-def default_cache_dir() -> Path:
-    """On-disk cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env).expanduser()
-    return Path.home() / ".cache" / "repro"
-
-
 class ContentCache:
-    """Content-addressed pickle store: in-memory, optionally on disk.
+    """Content-addressed pickle store, in memory."""
 
-    Parameters
-    ----------
-    disk:
-        False (default): memory only. True: persist under
-        :func:`default_cache_dir`. A path: persist there.
-
-    Disk layout is two-level (``ab/abcdef...pkl``) to keep directories
-    small; writes are atomic (write to a temp name, then ``rename``),
-    so concurrent sweep workers and interrupted runs never leave a
-    torn entry.
-    """
-
-    def __init__(self, disk: bool | str | Path = False):
+    def __init__(self):
         self._mem: dict[str, bytes] = {}
-        if disk is True:
-            self.disk_dir: Path | None = default_cache_dir()
-        elif disk:
-            self.disk_dir = Path(disk).expanduser()
-        else:
-            self.disk_dir = None
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
 
     def __len__(self) -> int:
         return len(self._mem)
 
-    def _path(self, key: str) -> Path:
-        return self.disk_dir / key[:2] / f"{key}.pkl"
-
     def get(self, key: str):
         """Fetch a fresh copy of the value at ``key``, or None."""
         blob = self._mem.get(key)
-        if blob is None and self.disk_dir is not None:
-            path = self._path(key)
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                blob = None
-            else:
-                self._mem[key] = blob  # promote
-                self.disk_hits += 1
         if blob is None:
             self.misses += 1
             return None
@@ -183,19 +127,12 @@ class ContentCache:
 
     def put(self, key: str, value) -> None:
         """Store ``value`` under ``key`` (overwrites)."""
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        self._mem[key] = blob
-        if self.disk_dir is not None:
-            path = self._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
+        self._mem[key] = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
     def stats(self) -> dict:
         """Hit/miss counts plus resident entry count."""
         return {"hits": self.hits, "misses": self.misses,
-                "disk_hits": self.disk_hits, "entries": len(self._mem)}
+                "entries": len(self._mem)}
 
 
 # -- the simulate() hook -------------------------------------------------

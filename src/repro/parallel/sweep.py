@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.libs.base import UnsupportedWorkload
 from repro.obs import Tracer, get_tracer, use_tracer
-from repro.parallel.cache import ContentCache, code_digest, fingerprint
+from repro.parallel.cache import ContentCache, fingerprint
 from repro.simulator import HardwareConfig
 from repro.simulator.counters import Counters
 from repro.trace import Workload
@@ -63,7 +63,7 @@ class SweepCell:
 
     def key(self) -> str:
         """Content-addressed cache key for this cell's result."""
-        return f"cell:{code_digest()}:{fingerprint(self)}"
+        return f"cell:{fingerprint(self)}"
 
 
 @dataclass
@@ -312,7 +312,7 @@ def _pool_round(todo: list, workers: int, cell_timeout_s: float | None,
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1,
-              cache: ContentCache | bool | None = None, *,
+              cache: ContentCache | None = None, *,
               cell_timeout_s: float | None = None,
               max_resubmits: int = 2) -> SweepResult:
     """Run every cell of ``spec``; results are independent of ``workers``.
@@ -326,9 +326,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
         out over a process pool. Output is byte-identical either way:
         cells are reassembled in grid order before any merging.
     cache:
-        ``None`` — no memoization. ``True`` — a fresh in-memory
-        :class:`ContentCache`. A :class:`ContentCache` — use it (pass
-        one constructed with ``disk=True`` for cross-run persistence).
+        ``None`` — no memoization. A :class:`ContentCache` — use it;
+        pass the same one to a later sweep to reuse its cells.
         Cached cells are not re-executed; a warm cache therefore
         changes wall-clock only, never results. Skipped while a tracer
         is recording (a cache hit would silently drop its spans).
@@ -352,9 +351,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     cells = spec.cells()
     tracer = get_tracer()
     tracing = bool(tracer.enabled)
-    if cache is True:
-        cache = ContentCache()
-    use_cache = cache is not None and cache is not False and not tracing
+    use_cache = cache is not None and not tracing
 
     results: list[CellResult | None] = [None] * len(cells)
     pending: list[tuple[int, SweepCell]] = []

@@ -53,10 +53,6 @@ class FaultInjector:
     def __init__(self, store: PMStore, seed: int = 0):
         self.store = store
         self.seed = seed
-        #: Shared legacy stream, kept for callers that drew from
-        #: ``injector.rng`` directly; the injector itself no longer
-        #: uses it.
-        self.rng = np.random.default_rng(seed)
         self._streams: dict[str, np.random.Generator] = {}
         self._hook_count = 0
         self.events: list[FaultEvent] = []

@@ -169,11 +169,6 @@ class PersistenceDomain:
         re-learns region placement from the WAL)."""
         self._tail = max(0, min(self._line_align(tail), self.capacity))
 
-    @property
-    def allocated_bytes(self) -> int:
-        """Bytes below the allocation watermark."""
-        return self._tail
-
     def _line_align(self, n: int) -> int:
         lb = self.line_bytes
         return (n + lb - 1) // lb * lb

@@ -85,8 +85,3 @@ class AdmissionController:
                 f"releasing {threads} threads but only "
                 f"{self.active_threads} active")
         self.active_threads -= threads
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of the Eq. (1) budget currently in use."""
-        return self.active_threads / self.capacity_threads

@@ -86,8 +86,3 @@ class RetryPolicy:
             delay = min(delay * self._jitter_factor(retry, token),
                         self.max_delay_ns)
         return delay
-
-    def total_delay_ns(self, retries: int, *, token: int = 0) -> float:
-        """Cumulative backoff across the first ``retries`` retries."""
-        return sum(self.delay_ns(i, token=token)
-                   for i in range(1, retries + 1))

@@ -189,10 +189,6 @@ class ErasureCodingService:
         self.slow_devices[device] = (float(penalty_ns), float(until_ns))
         self.metrics.inc("slow_device_marks")
 
-    def clear_device_slow(self, device: int) -> None:
-        """Forget a slow-device mark (restored to full speed)."""
-        self.slow_devices.pop(device, None)
-
     def _slow_penalty_ns(self) -> float:
         """Worst active slow-device penalty on a *data* device now."""
         worst = 0.0

@@ -60,11 +60,6 @@ class SimResult:
         """Aggregate data throughput in GB/s (bytes/ns)."""
         return self.data_bytes / self.makespan_ns if self.makespan_ns else 0.0
 
-    @property
-    def throughput_mbps(self) -> float:
-        """Aggregate data throughput in MB/s."""
-        return self.throughput_gbps * 1000.0
-
 
 def make_backends(hw: HardwareConfig, counters: Counters):
     """Build the (shared) load/store backends for a run."""

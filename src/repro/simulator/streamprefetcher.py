@@ -47,11 +47,6 @@ class StreamPrefetcher:
         """Drop all trained streams (e.g. on a policy switch)."""
         self._table.clear()
 
-    @property
-    def live_streams(self) -> int:
-        """Current stream-table occupancy."""
-        return len(self._table)
-
     # -- fast-forward hooks ------------------------------------------------
 
     def state_digest(self, addr_shift: int) -> tuple:

@@ -96,16 +96,6 @@ class XorSchedule:
         """Number of XOR (not copy) operations — the libraries' cost metric."""
         return sum(1 for op, _, _ in self.ops if op == "xor")
 
-    @property
-    def total_ops(self) -> int:
-        """All operations including copies."""
-        return len(self.ops)
-
-    def source_reads(self) -> int:
-        """Total packet reads — proxy for the memory-load footprint."""
-        # copy reads 1 src; xor reads src and dst
-        return sum(1 if op == "copy" else 2 for op, _, _ in self.ops)
-
     def execute(self, data_packets: np.ndarray) -> np.ndarray:
         """Run the program on bit-sliced data.
 

@@ -21,7 +21,6 @@ def test_params_validation():
 
 def test_layout_helpers():
     code = LRCCode(8, 2, 2)
-    assert code.total_blocks == 12
     assert code.group_of(0) == 0
     assert code.group_of(7) == 1
     assert code.group_members(1) == [4, 5, 6, 7]

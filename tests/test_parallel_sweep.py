@@ -10,7 +10,6 @@ import dataclasses
 import os
 import pathlib
 import pickle
-import shutil
 import subprocess
 import sys
 
@@ -90,14 +89,10 @@ def test_warm_cache_changes_nothing_and_runs_no_cell():
     cold = run_sweep(spec, workers=2, cache=cache)
     warm = run_sweep(spec, workers=1, cache=cache)
     assert cold == warm
+    assert cold.cache_stats["misses"] == len(spec)
     assert not any(r.cached for r in cold.results)
     assert all(r.cached for r in warm.results)
     assert warm.cache_stats["hits"] == len(spec)
-
-
-def test_cache_true_builds_a_fresh_store():
-    result = run_sweep(small_spec(workloads=WLS[:1]), cache=True)
-    assert result.cache_stats["misses"] == len(result)
 
 
 def test_unsupported_and_failing_cells_are_carried_not_raised():
@@ -178,22 +173,6 @@ def test_content_cache_returns_fresh_copies():
     assert cache.get("k") == {"list": [1, 2]}
 
 
-def test_content_cache_disk_round_trip(tmp_path):
-    cache = ContentCache(disk=tmp_path)
-    cache.put("deadbeef", [1, 2, 3])
-    fresh = ContentCache(disk=tmp_path)  # new process, cold memory
-    assert fresh.get("deadbeef") == [1, 2, 3]
-    assert fresh.disk_hits == 1
-    assert (tmp_path / "de" / "deadbeef.pkl").exists()
-    assert not list(tmp_path.glob("**/*.tmp.*"))  # atomic writes
-
-
-def test_cache_dir_env_override(tmp_path, monkeypatch):
-    from repro.parallel import default_cache_dir
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "x"))
-    assert default_cache_dir() == tmp_path / "x"
-
-
 # ------------------------------------------------ the simulate() seam
 
 def test_sim_cache_serves_identical_results():
@@ -244,24 +223,14 @@ def _keys_from(src: pathlib.Path, hash_seed: str, cwd) -> str:
                           check=True, timeout=120).stdout
 
 
-def test_cache_keys_follow_the_source_bytes(tmp_path):
-    """Keys carry a digest of the package source: equal in two processes
-    of the same tree (wherever it lives), different after one byte of
-    one module changes, so no cache entry outlives its code."""
+def test_cache_keys_are_stable_across_processes(tmp_path):
+    """Keys are a pure function of the inputs: two processes under
+    different hash seeds compute the same ones."""
     import repro
     src = pathlib.Path(repro.__file__).resolve().parent.parent
     keys = _keys_from(src, "1", tmp_path)
+    assert len(keys.split()) == 2
     assert keys == _keys_from(src, "2", tmp_path)
-    copy = tmp_path / "src"
-    shutil.copytree(src / "repro", copy / "repro",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    assert _keys_from(copy, "1", tmp_path) == keys
-    module = copy / "repro" / "simulator" / "params.py"
-    data = module.read_bytes()
-    module.write_bytes(data[:-1] + b" ")   # last newline -> space
-    changed = _keys_from(copy, "1", tmp_path).split()
-    assert len(changed) == 2
-    assert all(a != b for a, b in zip(changed, keys.split()))
 
 
 # -------------------------------------------------- tracing + workers

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.gf import gf8, GFPolynomial
+from repro.gf import gf8
 from repro.matrix import (
     cauchy_matrix, gf_invert_matrix, gf_rank, systematic_vandermonde,
 )
@@ -50,26 +50,3 @@ def test_cauchy_submatrices_always_invertible(seed, r, c):
     cols = sorted(rng.choice(c, size=n, replace=False))
     sub = C[np.ix_(rows, cols)]
     assert gf_rank(gf8, sub) == n
-
-
-@given(st.lists(st.integers(0, 255), min_size=1, max_size=6, unique=True),
-       st.integers(min_value=0, max_value=255))
-@settings(max_examples=40)
-def test_polynomial_from_roots_vanishes_exactly_on_roots(roots, probe):
-    p = GFPolynomial.from_roots(gf8, roots)
-    for r in roots:
-        assert p(r) == 0
-    if probe not in roots:
-        # a polynomial of degree len(roots) has no other roots
-        assert p(probe) != 0
-
-
-@given(st.lists(st.integers(0, 255), min_size=1, max_size=5),
-       st.lists(st.integers(0, 255), min_size=1, max_size=5),
-       st.integers(min_value=0, max_value=255))
-@settings(max_examples=40)
-def test_polynomial_ring_homomorphism(ca, cb, x):
-    """(p+q)(x) == p(x)+q(x) and (p*q)(x) == p(x)*q(x)."""
-    p, q = GFPolynomial(gf8, ca), GFPolynomial(gf8, cb)
-    assert (p + q)(x) == p(x) ^ q(x)
-    assert (p * q)(x) == gf8.mul(p(x), q(x))

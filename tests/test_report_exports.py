@@ -38,14 +38,6 @@ def test_from_dict_inverts_to_dict():
     assert back.render() == fig.render()
 
 
-def test_to_csv():
-    csv_text = _fig().to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0].strip() == "point,x,y"
-    assert lines[1].strip() == "a,1.5,"
-    assert lines[2].strip() == "b,2.5,3.0"
-
-
 def test_cli_json_output(tmp_path):
     rc = cli_main(["ablation_shuffle", "--out", str(tmp_path),
                    "--json", "--volume", "32768"])

@@ -21,6 +21,9 @@ def test_gen_api_docs_renders(tmp_path):
     text = out.read_text()
     assert "## `repro.core`" in text
     assert "DialgaEncoder" in text
+    # docs/api.md is generated: a deleted or renamed public name must
+    # leave it by regeneration, not by hand.
+    assert text == (SCRIPTS.parent / "docs" / "api.md").read_text()
 
 
 def test_run_all_script_is_executable():

@@ -52,7 +52,7 @@ def test_zero_jitter_keeps_exact_schedule():
                          max_delay_ns=350.0)
     assert [policy.delay_ns(i, token=99) for i in (1, 2, 3)] == \
         [100.0, 200.0, 350.0]
-    assert policy.total_delay_ns(3) == 650.0
+    assert sum(policy.delay_ns(i) for i in (1, 2, 3)) == 650.0
 
 
 def test_jitter_respects_max_delay_cap():

@@ -173,9 +173,9 @@ def test_prefetcher_shuffled_access_never_trains():
 def test_prefetcher_reset():
     pf, _ = _pf()
     pf.on_access(0)
-    assert pf.live_streams == 1
+    assert len(pf.state_digest(0)) == 1
     pf.reset()
-    assert pf.live_streams == 0
+    assert pf.state_digest(0) == ()
 
 
 # -- PMReadBuffer -------------------------------------------------------------

@@ -259,4 +259,3 @@ def test_throughput_property():
     ops = [(COMPUTE, 330.0)]
     res = simulate([_trace(ops, data_bytes=1000)], HW)
     assert res.throughput_gbps == pytest.approx(1000 / res.makespan_ns)
-    assert res.throughput_mbps == pytest.approx(res.throughput_gbps * 1000)

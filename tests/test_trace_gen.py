@@ -235,7 +235,7 @@ def test_xor_trace_counts():
     t = xor_schedule_trace(wl, CPU, sched)
     counts = t.counts()
     # One COMPUTE per schedule op; one load-line set per data-source op.
-    assert counts["COMPUTE"] == sched.total_ops
+    assert counts["COMPUTE"] == len(sched.ops)
     data_reads = sum(1 for op, _, src in sched.ops if src < 32)
     # 1 KB block -> 128 B packets -> 2 lines each
     assert counts["LOAD"] == data_reads * 2
