@@ -13,11 +13,7 @@ that JSON into EXPERIMENTS.md.
 """
 
 from repro.bench.report import FigureResult, Check, fmt_value
-from repro.bench.runner import (
-    run_libraries,
-    standard_libraries,
-    sweep_spec,
-)
+from repro.bench.runner import run_libraries, standard_libraries
 from repro.bench.sweep import benchmark_sweep, full_grid, smoke_grid
 from repro.bench.compare import compare_libraries, Comparison
 from repro.bench.workloads import PRODUCTION_WORKLOADS, get_workload
@@ -28,7 +24,6 @@ __all__ = [
     "fmt_value",
     "run_libraries",
     "standard_libraries",
-    "sweep_spec",
     "benchmark_sweep",
     "smoke_grid",
     "full_grid",

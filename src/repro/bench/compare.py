@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.bench.runner import run_libraries, standard_libraries
 from repro.libs.base import LibraryResult
+from repro.parallel.sweep import LIBRARIES
 from repro.simulator.params import HardwareConfig
 from repro.trace.workload import Workload
 
@@ -59,8 +60,7 @@ class Comparison:
 
 
 def compare_libraries(wl: Workload, hw: HardwareConfig | None = None,
-                      include=("ISA-L", "ISA-L-D", "Zerasure", "Cerasure",
-                               "DIALGA")) -> Comparison:
+                      include=LIBRARIES) -> Comparison:
     """Run the paper's comparison set on one workload.
 
     Returns a :class:`Comparison` whose ``str()`` is a ready-to-print

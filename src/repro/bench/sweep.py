@@ -17,19 +17,18 @@ import pathlib
 import sys
 import time
 
-from repro.bench.runner import sweep_spec
 from repro.parallel import ContentCache, SweepSpec, fingerprint, run_sweep
 from repro.trace import Workload
 
 
 def smoke_grid(volume: int | None = None) -> SweepSpec:
-    """Small CI grid: 3 libraries × 4 workloads, one hardware config.
+    """Small CI grid: 3 libraries × 4 workloads.
 
     Sized so the serial pass stays in single-digit seconds while the
     cells are heavy enough for the pool to beat process start-up cost.
     """
     vol = volume if volume is not None else 1 << 20
-    return sweep_spec(
+    return SweepSpec(
         workloads=[
             Workload(k=4, m=2, block_bytes=1024, data_bytes_per_thread=vol),
             Workload(k=6, m=3, block_bytes=1024, data_bytes_per_thread=vol),
@@ -43,7 +42,7 @@ def smoke_grid(volume: int | None = None) -> SweepSpec:
 def full_grid(volume: int | None = None) -> SweepSpec:
     """The paper's §5.1 comparison set over the figure geometries."""
     vol = volume if volume is not None else 1 << 20
-    return sweep_spec(
+    return SweepSpec(
         workloads=[
             Workload(k=k, m=m, block_bytes=bb, data_bytes_per_thread=vol)
             for k, m in ((4, 2), (6, 3), (8, 4), (10, 4), (12, 4))
@@ -86,7 +85,6 @@ def benchmark_sweep(spec: SweepSpec, workers: int = 2) -> dict:
             "cells": len(spec),
             "libraries": list(spec.libraries),
             "workloads": len(spec.workloads),
-            "hardware": len(spec.hardware),
         },
         "workers": workers,
         # Pool speedup is bounded by the machine: on a 1-CPU container
@@ -113,8 +111,7 @@ def render_report(report: dict) -> str:
     g = report["grid"]
     lines = [
         f"sweep: {g['cells']} cells "
-        f"({g['workloads']} workloads x {len(g['libraries'])} libraries "
-        f"x {g['hardware']} hardware)",
+        f"({g['workloads']} workloads x {len(g['libraries'])} libraries)",
         f"  serial cold     {report['serial_s']:8.3f} s",
         f"  parallel cold   {report['parallel_s']:8.3f} s   "
         f"(workers={report['workers']}, {report['cpus']} cpu(s), "

@@ -184,57 +184,6 @@ class Tracer:
         self.events.append(ev)
         return ev
 
-    # -- worker hand-off ---------------------------------------------------
-
-    def export_payload(self) -> dict:
-        """Picklable snapshot of everything recorded so far.
-
-        Sweep workers run with a private tracer and ship this payload
-        back to the parent process, which splices it onto its own
-        timeline with :meth:`absorb`.
-        """
-        return {
-            "name": self.name,
-            "max_ts": self.max_ts,
-            "spans": [
-                (s.name, s.span_id, s.parent_id, s.start_ns, s.end_ns,
-                 dict(s.attrs))
-                for s in self.spans
-            ],
-            "events": [
-                (e.name, e.ts_ns, e.span_id, dict(e.attrs))
-                for e in self.events
-            ],
-        }
-
-    def absorb(self, payload: dict) -> None:
-        """Splice a worker tracer's exported records onto this timeline.
-
-        Records are rebased like :meth:`sequenced` runs: the worker's
-        timeline (which starts at 0) is laid down after everything this
-        tracer has recorded, and span ids are remapped past this
-        tracer's counter so they stay unique. Absorbing worker payloads
-        in a fixed order therefore yields a deterministic merged
-        timeline regardless of worker scheduling.
-        """
-        if not payload or (not payload["spans"] and not payload["events"]):
-            return
-        delta = self.max_ts
-        idmap: dict[int, int] = {}
-        for name, sid, _pid, _start, _end, _attrs in payload["spans"]:
-            idmap[sid] = self._next_id
-            self._next_id += 1
-        for name, sid, pid, start, end, attrs in payload["spans"]:
-            span = Span(name, idmap[sid], idmap.get(pid),
-                        self._shift(start + delta), attrs=attrs, tracer=self)
-            if end is not None:
-                span.end_ns = max(self._shift(end + delta), span.start_ns)
-            self.spans.append(span)
-        for name, ts, sid, attrs in payload["events"]:
-            self.events.append(SpanEvent(
-                name, self._shift(ts + delta),
-                idmap.get(sid) if sid is not None else None, attrs))
-
     # -- reading -----------------------------------------------------------
 
     @property
@@ -288,12 +237,6 @@ class NullTracer:
 
     def find_events(self, name: str) -> list:
         return []
-
-    def export_payload(self) -> dict:
-        return {}
-
-    def absorb(self, payload: dict) -> None:
-        return None
 
 
 #: The process-wide null singleton (default tracer).

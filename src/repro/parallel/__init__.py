@@ -1,10 +1,11 @@
 """Parallel sweep execution and content-addressed caching.
 
 The ROADMAP's "fast as the hardware allows" goal applied to the repro
-itself: benchmark grids fan out over a process pool with results
-reassembled deterministically (:func:`run_sweep`), and pure
-(configuration → trace → simulation) work memoizes in memory under
-sha256 content fingerprints (:class:`ContentCache`).
+itself: a libraries × workloads grid fans out over a process pool
+with results reassembled deterministically (:func:`run_sweep`; traced
+sweeps run in-process), and pure (configuration → trace → simulation)
+work memoizes in memory under sha256 content fingerprints
+(:class:`ContentCache`).
 
 Quickstart::
 

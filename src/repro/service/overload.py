@@ -40,6 +40,10 @@ from dataclasses import dataclass, field
 
 from repro.service.request import Priority, Request
 
+#: A batch slower than this many ``target_batch_latency_ns`` reads as
+#: saturated to the brownout state machine.
+BROWNOUT_LATENCY_FACTOR = 3.0
+
 
 @dataclass(frozen=True, kw_only=True)
 class OverloadConfig:
@@ -66,13 +70,9 @@ class OverloadConfig:
     brownout_enter_pressure / brownout_exit_pressure:
         Queue-depth fractions (of ``max_queue_depth``) read as
         saturated / clear.
-    brownout_latency_factor:
-        A batch slower than ``factor * target`` also reads saturated.
     brownout_enter_after / brownout_exit_after:
         Consecutive saturated / clear observations required to flip
         the brownout state machine (hysteresis).
-    hedge_enabled:
-        Re-issue stalled reads against the degraded path.
     hedge_quantile:
         GET-latency quantile (0..1) that arms the hedge timer.
     hedge_min_delay_ns:
@@ -94,10 +94,8 @@ class OverloadConfig:
     retry_budget_cap: float = 40.0
     brownout_enter_pressure: float = 0.75
     brownout_exit_pressure: float = 0.25
-    brownout_latency_factor: float = 3.0
     brownout_enter_after: int = 3
     brownout_exit_after: int = 4
-    hedge_enabled: bool = True
     hedge_quantile: float = 0.95
     hedge_min_delay_ns: float = 250_000.0
     hedge_min_samples: int = 8
@@ -357,7 +355,7 @@ class OverloadManager:
         cfg = self.config
         pressure = queue_depth / max(1, max_queue_depth)
         return (pressure >= cfg.brownout_enter_pressure
-                or batch_latency_ns > (cfg.brownout_latency_factor
+                or batch_latency_ns > (BROWNOUT_LATENCY_FACTOR
                                        * cfg.target_batch_latency_ns))
 
     # -- hedging ------------------------------------------------------------

@@ -43,6 +43,9 @@ from repro.service.retry import RetryPolicy
 from repro.simulator.params import HardwareConfig
 from repro.trace.workload import Workload
 
+#: Fixed per-request service overhead (parse, index, commit), in ns.
+BASE_LATENCY_NS = 2_000.0
+
 
 @dataclass(frozen=True, kw_only=True)
 class ServiceConfig:
@@ -63,8 +66,6 @@ class ServiceConfig:
         (default ``2 * k``, the buffer-friendly first-line distance).
     retry:
         Exponential-backoff schedule for transient faults.
-    base_latency_ns:
-        Fixed per-request service overhead (parse, index, commit).
     verify_reads:
         Checksum-verify (and repair) every stripe touched by a GET
         before serving it. Off by default — it trades read cost for
@@ -82,7 +83,6 @@ class ServiceConfig:
     max_queue_depth: int = 16
     d_max: int | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    base_latency_ns: float = 2_000.0
     verify_reads: bool = False
     overload: OverloadConfig | None = None
 
@@ -136,7 +136,7 @@ class ErasureCodingService:
             self.overload = OverloadManager(
                 self.config.overload,
                 capacity_threads=self.admission.capacity_threads,
-                base_latency_ns=self.config.base_latency_ns)
+                base_latency_ns=BASE_LATENCY_NS)
         #: Devices currently serving slowly: device -> (penalty_ns,
         #: until_ns). Reads touching one pay the penalty unless the
         #: brownout / hedging paths route around it.
@@ -565,7 +565,7 @@ class ErasureCodingService:
 
     def _execute(self, batch: Batch) -> tuple[float, list[RequestResult]]:
         """Run one batch; returns (finish time, per-request results)."""
-        base = self.config.base_latency_ns * len(batch)
+        base = BASE_LATENCY_NS * len(batch)
         if batch.key.kind is RequestKind.PUT:
             return self._execute_puts(batch, base)
         if batch.key.kind is RequestKind.GET:
@@ -624,16 +624,16 @@ class ErasureCodingService:
 
         * brownout active → proactively reconstruct through parity,
           skipping the slow device entirely;
-        * hedging enabled → primary waits ``hedge_delay``; if still
-          stalled, a degraded-path hedge races it. The cheaper path
-          wins and the loser is cancelled;
+        * overload control on → primary waits ``hedge_delay``; if
+          still stalled, a degraded-path hedge races it. The cheaper
+          path wins and the loser is cancelled;
         * neither → eat the full penalty.
         """
         mgr = self.overload
         if mgr is not None and mgr.brownout.active:
             self.metrics.inc("brownout_degraded_reads")
             return 0.0, True, True
-        if mgr is not None and mgr.config.hedge_enabled:
+        if mgr is not None:
             hedge_delay = mgr.hedge_delay_ns(
                 self.metrics.latency.get("get"))
             if penalty_ns <= hedge_delay:

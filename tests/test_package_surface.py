@@ -64,3 +64,26 @@ def test_no_cross_layer_imports():
             assert "from repro.core" not in text, f"{py} imports repro.core"
             assert "from repro.libs" not in text, f"{py} imports repro.libs"
             assert "from repro.bench" not in text, f"{py} imports repro.bench"
+
+
+def test_no_module_reads_the_environment():
+    """Configuration travels through parameters, never env vars: no
+    module under ``src/repro`` touches ``os.environ``/``os.getenv``."""
+    import ast
+    import pathlib
+    src = pathlib.Path(importlib.import_module("repro").__file__).parent
+    offenders = []
+    for py in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(py.read_text(), str(py))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                name = next((a.name for a in node.names
+                             if a.name in ("environ", "getenv")), None)
+            else:
+                continue
+            if name in ("environ", "getenv"):
+                offenders.append(f"{py.relative_to(src)}:{node.lineno}")
+    assert offenders == []
