@@ -8,7 +8,7 @@ Runs one high-pressure adaptive encode (the fig-10 regime where the
    the counter deltas it saw, every threshold predicate it evaluated,
    the candidate policies it weighed, and what it chose;
 2. replays every decision window under every candidate policy through
-   the cached ``repro.simulate()`` facade (the counterfactual oracle)
+   the cached ``repro.simulate()`` (the counterfactual oracle)
    and prints per-decision regret plus the episode's
    oracle-normalized score.
 
@@ -37,9 +37,9 @@ print(ledger.render())
 switch = ledger.switches[0]
 print("\n   the switch decision in full:")
 for check in switch.checks:
-    mark = "FIRED" if check["fired"] else "quiet"
-    print(f"     {check['name']:<12} value={check['value']:10.4f}  "
-          f"limit={check['limit']:10.4f}  [{mark}]")
+    mark = "FIRED" if check.fired else "quiet"
+    print(f"     {check.name:<12} value={check.value:10.4f}  "
+          f"limit={check.limit:10.4f}  [{mark}]")
 print(f"     candidates: "
       f"{' | '.join(p.describe() for p in switch.candidates)}")
 print(f"     chose: {switch.chosen.describe()}\n")

@@ -52,7 +52,6 @@ from repro.core import (
     DialgaConfig,
     DialgaEncoder,
     Policy,
-    PolicySwitch,
 )
 from repro.gf import GF, gf8
 from repro.libs import (
@@ -109,7 +108,6 @@ __all__ = [
     "DialgaConfig",
     "DialgaEncoder",
     "Policy",
-    "PolicySwitch",
     "AdaptiveCoordinator",
     "GF",
     "gf8",

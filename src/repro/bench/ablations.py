@@ -108,14 +108,13 @@ def ablation_eq1_cap(volume: int | None = None) -> FigureResult:
     wl = Workload(k=24, m=4, block_bytes=1024, nthreads=16,
                   data_bytes_per_thread=vol)
     cap = eq1_max_distance(16, 24, 4, HW.pm)
-    hp = DialgaEncoder(24, 4, config=DialgaConfig(policy_override=Policy(
+    hp = DialgaEncoder(24, 4).run(wl, HW, policy=Policy(
         hw_prefetch=False, sw_distance=min(24, cap),
-        xpline_granularity=True))).run(wl, HW)
+        xpline_granularity=True))
     # What the (tuned) low-pressure policy would do if never adapted:
     # streamer on, long buffer-friendly distances.
-    lp = DialgaEncoder(24, 4, config=DialgaConfig(policy_override=Policy(
-        hw_prefetch=True, sw_distance=28,
-        bf_first_distance=56))).run(wl, HW)
+    lp = DialgaEncoder(24, 4).run(wl, HW, policy=Policy(
+        hw_prefetch=True, sw_distance=28, bf_first_distance=56))
     fig.add_row("16t", high_pressure_gbps=hp.throughput_gbps,
                 unadapted_gbps=lp.throughput_gbps,
                 high_pressure_amp=hp.sim.counters.media_read_amplification,

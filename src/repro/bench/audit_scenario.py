@@ -51,8 +51,8 @@ def _episode(fig: FigureResult, label: str, *, nthreads: int, stripes: int,
     enc.run(wl, hw)
     ledger = ledger_from_coordinator(enc.last_coordinator)
     report = replay_decisions(ledger)
-    fired = sorted({c["name"] for r in ledger.records for c in r.checks
-                    if c["fired"]})
+    fired = sorted({c.name for r in ledger.records for c in r.checks
+                    if c.fired})
     fig.add_row(
         label,
         decisions=len(ledger.records),

@@ -640,8 +640,8 @@ def fig18(volume: int | None = None) -> FigureResult:
         }
         row = {}
         for name, pol in variants.items():
-            enc = DialgaEncoder(k, 4, config=DialgaConfig(policy_override=pol))
-            row[name] = enc.run(wl, HW).throughput_gbps
+            row[name] = DialgaEncoder(k, 4).run(
+                wl, HW, policy=pol).throughput_gbps
         results[tag] = row
         fig.add_row(tag, **row)
     sw_gains = [_gain(results[t]["+SW"], results[t]["Vanilla"]) for t in results]

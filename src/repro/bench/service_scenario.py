@@ -19,7 +19,7 @@ ambient one under ``--trace``, a private one otherwise): request
 lifecycle spans yield the per-stage latency breakdown, and the closing
 **pressure burst** — a 10-thread adaptive encode job big enough to
 thrash the read buffer — drives the coordinator through a live
-``PolicySwitch`` on the same timeline.
+policy switch on the same timeline.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gf.arithmetic import GF, gf8
 from repro.codes.rs import RSCode
 
 
@@ -24,15 +23,14 @@ class LRCCode:
     parity (one per group, groups are contiguous runs of data blocks).
     """
 
-    def __init__(self, k: int, m: int, l: int, field: GF | None = None):
+    def __init__(self, k: int, m: int, l: int):
         if l < 1 or l > k:
             raise ValueError(f"need 1 <= l <= k, got l={l} k={k}")
         if k % l:
             raise ValueError(f"k={k} must divide evenly into l={l} groups")
         self.k, self.m, self.l = k, m, l
         self.group_size = k // l
-        self.field = field or gf8
-        self.rs = RSCode(k, m, field=self.field)
+        self.rs = RSCode(k, m)
 
     def group_of(self, data_index: int) -> int:
         """Local group that data block ``data_index`` belongs to."""

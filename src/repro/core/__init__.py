@@ -17,7 +17,7 @@ on persistent memory, layered over the ISA-L kernel model:
 from repro.core.policy import Policy
 from repro.core.hillclimb import HillClimber
 from repro.core.buffer_friendly import eq1_max_distance, bf_distances, thrash_thread_bound
-from repro.core.coordinator import AdaptiveCoordinator, CoordinatorConfig, PolicySwitch
+from repro.core.coordinator import AdaptiveCoordinator
 from repro.core.operator import static_shuffle_mapping, build_prefetch_pointers
 from repro.core.dialga import DialgaConfig, DialgaEncoder
 
@@ -28,8 +28,6 @@ __all__ = [
     "bf_distances",
     "thrash_thread_bound",
     "AdaptiveCoordinator",
-    "CoordinatorConfig",
-    "PolicySwitch",
     "static_shuffle_mapping",
     "build_prefetch_pointers",
     "DialgaConfig",

@@ -20,7 +20,6 @@ hill climbing (§4.1.2) whenever performance fluctuates by more than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from repro.core.buffer_friendly import (
@@ -36,32 +35,22 @@ from repro.simulator.params import HardwareConfig
 from repro.trace.workload import Workload
 
 
-@dataclass(frozen=True)
-class CoordinatorConfig:
-    """Thresholds for the adaptive switching heuristics (paper §4.1.2)."""
+# Thresholds of the adaptive switching heuristics (paper §4.1.2).
 
-    #: Contention: avg load latency above this factor of the baseline.
-    latency_factor: float = 1.10
-    #: Inefficiency: useless-prefetch count growth above this factor.
-    useless_growth_factor: float = 1.50
-    #: Concurrency beyond this disables the hardware prefetcher.
-    thread_threshold: int = 12
-    #: Counter sampling period (1 kHz of simulated time).
-    sample_period_ns: float = 1_000_000.0
-    #: Throughput fluctuation that retriggers the distance search.
-    perf_fluctuation: float = 0.10
-    #: Stripes wider than this overflow the streamer (Obs. 3).
-    wide_stripe_k: int = 32
-    #: Hill-climb neighborhood size.
-    neighborhood: int = 16
-
-
-class PolicySwitch(NamedTuple):
-    """One dynamic policy change (sample index + before/after)."""
-
-    sample: int
-    old: Policy
-    new: Policy
+#: Contention: avg load latency above this factor of the baseline.
+LATENCY_FACTOR = 1.10
+#: Inefficiency: useless-prefetch count growth above this factor.
+USELESS_GROWTH_FACTOR = 1.50
+#: Concurrency beyond this disables the hardware prefetcher.
+THREAD_THRESHOLD = 12
+#: Counter sampling period (1 kHz of simulated time).
+SAMPLE_PERIOD_NS = 1_000_000.0
+#: Throughput fluctuation that retriggers the distance search.
+PERF_FLUCTUATION = 0.10
+#: Stripes wider than this overflow the streamer (Obs. 3).
+WIDE_STRIPE_K = 32
+#: Hill-climb neighborhood size.
+NEIGHBORHOOD = 16
 
 
 class ThresholdCheck(NamedTuple):
@@ -122,21 +111,17 @@ class AdaptiveCoordinator:
     """Decides and adapts the prefetcher-scheduling policy for one job."""
 
     def __init__(self, wl: Workload, hw: HardwareConfig,
-                 config: CoordinatorConfig | None = None,
                  probe: Callable[[int], float] | None = None,
-                 policy_probe: Callable[["Policy"], float] | None = None,
-                 on_switch: Callable[[PolicySwitch], None] | None = None,
-                 on_decision: Callable[[DecisionEvidence], None] | None = None):
+                 policy_probe: Callable[["Policy"], float] | None = None):
         self.wl = wl
         self.hw = hw
-        self.config = config or CoordinatorConfig()
         self.probe = probe
         self.policy_probe = policy_probe
-        self.on_switch = on_switch
-        self.on_decision = on_decision
         #: Full evidence trail, one entry per decision (the initial
-        #: I/O-pattern decision plus every observe() sample) — consumed
-        #: by :class:`repro.obs.audit.DecisionLedger`.
+        #: I/O-pattern decision plus every observe() sample) — the one
+        #: record of what was decided and why, consumed by
+        #: :class:`repro.obs.audit.DecisionLedger` and the service
+        #: layer's switch metrics.
         self.decision_log: list[DecisionEvidence] = []
         #: Stripes per adaptation window of the enclosing run, set by
         #: the DIALGA chunk loop — the counterfactual replay's default
@@ -150,24 +135,18 @@ class AdaptiveCoordinator:
         self.baseline_useless_per_load: float | None = None
         self._saved_policy: Policy | None = None
         self._prev_throughput: float | None = None
-        self.switches = 0  # policy flips (observability/tests)
-        #: Every dynamic flip, in order — the service layer's metrics
-        #: registry consumes these (and on_switch fires per event).
-        self.switch_events: list[PolicySwitch] = []
         self._samples_seen = 0
+
+    @property
+    def switches(self) -> int:
+        """Dynamic policy flips so far (decisions that changed it)."""
+        return sum(ev.switched for ev in self.decision_log)
 
     def set_baseline(self, sample: Counters) -> None:
         """Install low-pressure reference levels from a calibration run."""
         if sample.loads:
             self.baseline_latency_ns = sample.avg_load_latency_ns
             self.baseline_useless_per_load = sample.hwpf_useless / sample.loads
-
-    def _record(self, evidence: DecisionEvidence) -> None:
-        """Append one decision to the evidence trail, notifying any
-        attached ledger."""
-        self.decision_log.append(evidence)
-        if self.on_decision is not None:
-            self.on_decision(evidence)
 
     # -- initial decision from the I/O access pattern ---------------------
 
@@ -187,7 +166,7 @@ class AdaptiveCoordinator:
                              track="coordinator", step=step, distance=x,
                              probe_ns_per_byte=value)
         climber = HillClimber(self.probe, lower=1, upper=upper,
-                              neighborhood=self.config.neighborhood,
+                              neighborhood=NEIGHBORHOOD,
                               on_step=on_step)
         best, _ = climber.search(start)
         if tracer.enabled:
@@ -208,24 +187,24 @@ class AdaptiveCoordinator:
                       bf_first_distance=None, xpline_granularity=True)
 
     def _initial_policy(self) -> Policy:
-        wl, cfg = self.wl, self.config
+        wl = self.wl
         lines_per_block = max(1, wl.block_bytes // 64)
         elems = lines_per_block * wl.k
         # The fixed 12-thread threshold comes from the paper's testbed
         # observations (k=24); Eq.-(1) reasoning generalizes it: the
         # read buffer holds capacity/k concurrent stream sets, so wide
         # stripes hit pressure earlier (§5.3's 8 x 48 bound).
-        threshold = min(cfg.thread_threshold,
+        threshold = min(THREAD_THRESHOLD,
                         thrash_thread_bound(wl.k, self.hw.pm))
         checks = [ThresholdCheck("thread_pressure", wl.nthreads, threshold,
                                  wl.nthreads > threshold),
-                  ThresholdCheck("wide_stripe", wl.k, cfg.wide_stripe_k,
-                                 wl.k > cfg.wide_stripe_k),
+                  ThresholdCheck("wide_stripe", wl.k, WIDE_STRIPE_K,
+                                 wl.k > WIDE_STRIPE_K),
                   ThresholdCheck("large_block", wl.block_bytes, 4096,
                                  wl.block_bytes >= 4096)]
 
         def decide(chosen: Policy, candidates: tuple, climb: tuple) -> Policy:
-            self._record(DecisionEvidence(
+            self.decision_log.append(DecisionEvidence(
                 kind="initial", sample=0, now_ns=0.0, delta={},
                 checks=tuple(checks), candidates=candidates, old=None,
                 chosen=chosen, switched=False, climb=climb,
@@ -283,22 +262,21 @@ class AdaptiveCoordinator:
         switch on the tracer timeline; without it the sample index
         times the sampling period stands in.
         """
-        cfg = self.config
         self._samples_seen += 1
         if sample.loads == 0:
             return self.policy
         ts = (now_ns if now_ns is not None
-              else self._samples_seen * cfg.sample_period_ns)
+              else self._samples_seen * SAMPLE_PERIOD_NS)
         avg_lat = sample.avg_load_latency_ns
         useless_per_load = sample.hwpf_useless / sample.loads
         if self.baseline_latency_ns is None:
             self.baseline_latency_ns = avg_lat
             self.baseline_useless_per_load = useless_per_load
-        lat_limit = cfg.latency_factor * self.baseline_latency_ns
+        lat_limit = LATENCY_FACTOR * self.baseline_latency_ns
         contention = avg_lat > lat_limit
         ref = self.baseline_useless_per_load or 0.0
         if ref > 1e-6:
-            useless_limit = cfg.useless_growth_factor * ref
+            useless_limit = USELESS_GROWTH_FACTOR * ref
         else:
             useless_limit = 0.05
         inefficient = useless_per_load > useless_limit
@@ -330,9 +308,9 @@ class AdaptiveCoordinator:
         # Performance fluctuation retriggers the distance search.
         if throughput_gbps is not None and self._prev_throughput:
             swing = abs(throughput_gbps - self._prev_throughput) / self._prev_throughput
-            fluctuated = swing > cfg.perf_fluctuation
+            fluctuated = swing > PERF_FLUCTUATION
             checks.append(ThresholdCheck("fluctuation", swing,
-                                         cfg.perf_fluctuation, fluctuated))
+                                         PERF_FLUCTUATION, fluctuated))
             if fluctuated and self.probe is not None:
                 lines = max(1, self.wl.block_bytes // 64)
                 upper = max(2, min(lines * self.wl.k - 1, 8 * self.wl.k))
@@ -343,25 +321,19 @@ class AdaptiveCoordinator:
                     candidates.append(new)
         if throughput_gbps is not None:
             self._prev_throughput = throughput_gbps
-        self._record(DecisionEvidence(
+        self.decision_log.append(DecisionEvidence(
             kind="observe", sample=self._samples_seen, now_ns=ts,
             delta=sample.nonzero_dict(), checks=tuple(checks),
             candidates=tuple(dict.fromkeys(candidates)), old=old,
             chosen=new, switched=new != old, climb=climb,
             throughput_gbps=throughput_gbps))
-        if new != self.policy:
-            self.switches += 1
-            event = PolicySwitch(self._samples_seen, self.policy, new)
-            self.switch_events.append(event)
+        if new != old:
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.event("coordinator.policy_switch", ts,
-                             track="coordinator", sample=event.sample,
-                             old=self.policy.describe(),
-                             new=new.describe(),
+                             track="coordinator", sample=self._samples_seen,
+                             old=old.describe(), new=new.describe(),
                              contention=contention,
                              inefficient=inefficient)
             self.policy = new
-            if self.on_switch is not None:
-                self.on_switch(event)
         return self.policy

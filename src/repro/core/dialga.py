@@ -13,60 +13,37 @@ Tuning knobs live in one keyword-only :class:`DialgaConfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.codes.rs import RSCode
-from repro.core.coordinator import AdaptiveCoordinator, CoordinatorConfig
+from repro.core.coordinator import SAMPLE_PERIOD_NS, AdaptiveCoordinator
 from repro.core.policy import Policy
-from repro.gf.arithmetic import GF
 from repro.libs.base import CodingLibrary, GeometryMismatch, LibraryResult
 from repro.obs import get_tracer
 from repro.simulator import HardwareConfig, SimResult, simulate
-from repro.simulator.engine import ThreadContext
-from repro.simulator.multicore import make_backends
-from repro.simulator.counters import Counters, CounterSampler
+from repro.simulator.counters import CounterSampler
+from repro.simulator.multicore import make_contexts
 from repro.trace import Trace, Workload, isal_trace
 
 
 @dataclass(frozen=True, kw_only=True)
 class DialgaConfig:
-    """All of :class:`DialgaEncoder`'s tuning knobs in one place.
-
-    Keyword-only by design: every field names itself at the call site,
-    and `run`-time code receives one immutable object instead of six
-    loose parameters.
+    """:class:`DialgaEncoder`'s tuning knobs (keyword-only).
 
     Attributes
     ----------
-    field:
-        GF instance (default GF(2^8)).
-    adaptive:
-        If False, run the initial policy for the whole job (no
-        between-chunk adaptation) — used by the Fig. 18 ablations.
     chunks:
         How many chunks the job is split into for adaptation/sampling.
-    policy_override:
-        Pin a specific policy (ablation variants).
     use_probe:
         Hill-climb the software-prefetch distance on a small simulated
         probe before starting (§4.1.2, on by default as in the paper).
         Disable to pin d = k.
-    coordinator:
-        Threshold overrides for the adaptive coordinator.
     """
 
-    field: GF | None = None
-    adaptive: bool = True
     chunks: int = 6
-    policy_override: Policy | None = None
     use_probe: bool = True
-    coordinator: CoordinatorConfig | None = None
-
-    def with_(self, **kwargs) -> "DialgaConfig":
-        """Copy with fields replaced."""
-        return replace(self, **kwargs)
 
 
 class DialgaEncoder(CodingLibrary):
@@ -86,21 +63,16 @@ class DialgaEncoder(CodingLibrary):
     def __init__(self, k: int, m: int, *,
                  config: DialgaConfig | None = None):
         self.config = config or DialgaConfig()
-        self.code = RSCode(k, m, field=self.config.field)
+        self.code = RSCode(k, m)
         self.k, self.m = k, m
         #: Policies applied per chunk in the last run (observability).
         self.policy_log: list[Policy] = []
         #: Coordinator of the last adaptive run (None before any run or
-        #: after a pinned/non-adaptive run) — exposes policy-switch
-        #: events to the service layer.
+        #: after a pinned run) — exposes its decisions to the service
+        #: layer and the decision ledger.
         self.last_coordinator: AdaptiveCoordinator | None = None
 
     # -- read-only views of config -----------------------------------------
-
-    @property
-    def adaptive(self) -> bool:
-        """Whether between-chunk adaptation is enabled (from config)."""
-        return self.config.adaptive
 
     @property
     def chunks(self) -> int:
@@ -108,24 +80,14 @@ class DialgaEncoder(CodingLibrary):
         return max(1, self.config.chunks)
 
     @property
-    def policy_override(self) -> Policy | None:
-        """Pinned policy, if any (from config)."""
-        return self.config.policy_override
-
-    @property
     def use_probe(self) -> bool:
         """Whether the hill-climbing probe is enabled (from config)."""
         return self.config.use_probe
 
     @property
-    def coordinator_config(self) -> CoordinatorConfig | None:
-        """Coordinator threshold overrides (from config)."""
-        return self.config.coordinator
-
-    @property
     def policy_switches(self) -> int:
         """Dynamic policy switches in the last adaptive run (0 when the
-        run was pinned or non-adaptive) — service-layer observability."""
+        run was pinned) — service-layer observability."""
         return self.last_coordinator.switches if self.last_coordinator else 0
 
     # -- functional (bit-exact ISA-L RS) ----------------------------------
@@ -162,28 +124,23 @@ class DialgaEncoder(CodingLibrary):
         probe = policy_probe = None
         if self.use_probe:
             probe, policy_probe = self._make_probe(wl, hw)
-        return AdaptiveCoordinator(wl, hw, config=self.coordinator_config,
-                                   probe=probe, policy_probe=policy_probe)
+        return AdaptiveCoordinator(wl, hw, probe=probe,
+                                   policy_probe=policy_probe)
 
     def trace(self, wl: Workload, hw: HardwareConfig, thread: int,
-              policy: Policy | None = None, stripe_offset: int = 0,
-              stripes: int | None = None) -> Trace:
+              policy: Policy | None = None) -> Trace:
         """One thread's trace under ``policy`` (default: initial policy)."""
         if policy is None:
-            policy = (self.policy_override
-                      or AdaptiveCoordinator(wl, hw).policy)
-        if stripes is not None:
-            wl = wl.with_(data_bytes_per_thread=stripes * wl.stripe_data_bytes)
-        return isal_trace(wl, hw.cpu, policy.to_variant(), thread=thread,
-                          stripe_offset=stripe_offset)
+            policy = AdaptiveCoordinator(wl, hw).policy
+        return isal_trace(wl, hw.cpu, policy.to_variant(), thread=thread)
 
     def run(self, workload: Workload,
             hardware: HardwareConfig | None = None, *,
             policy: Policy | None = None) -> LibraryResult:
         """Simulate the workload with the full adaptive pipeline.
 
-        ``policy`` pins a scheduling policy for this run only (it
-        behaves like a per-call ``policy_override``).
+        ``policy`` pins a scheduling policy for the whole run (no
+        coordinator, no adaptation) — the ablation variants use it.
         """
         hw = hardware or HardwareConfig()
         wl = self.effective_workload(workload)
@@ -193,12 +150,9 @@ class DialgaEncoder(CodingLibrary):
                 f"workload geometry ({wl.k},{wl.m}) != encoder ({self.k},{self.m})")
         self.policy_log = []
         self.last_coordinator = None
-        pinned = policy or self.policy_override
-        if pinned is not None or not self.adaptive:
-            run_policy = pinned or AdaptiveCoordinator(
-                wl, hw, config=self.coordinator_config).policy
-            self.policy_log.append(run_policy)
-            traces = [self.trace(wl, hw, t, policy=run_policy)
+        if policy is not None:
+            self.policy_log.append(policy)
+            traces = [self.trace(wl, hw, t, policy=policy)
                       for t in range(wl.nthreads)]
             sim = simulate(traces, hw)
             return LibraryResult(self.name, wl, sim)
@@ -212,8 +166,7 @@ class DialgaEncoder(CodingLibrary):
         kernel."""
         lp_wl = wl.with_(nthreads=1,
                          data_bytes_per_thread=3 * wl.stripe_data_bytes)
-        lp_policy = AdaptiveCoordinator(lp_wl, hw,
-                                        config=self.coordinator_config).policy
+        lp_policy = AdaptiveCoordinator(lp_wl, hw).policy
         trace = isal_trace(lp_wl, hw.cpu, lp_policy.to_variant())
         res = simulate([trace], hw)
         coord.set_baseline(res.counters)
@@ -237,10 +190,7 @@ class DialgaEncoder(CodingLibrary):
         self.last_coordinator = coord
         if wl.nthreads > 1:
             self._calibrate_baseline(coord, wl, hw)
-        counters = Counters()
-        load_b, store_b = make_backends(hw, counters)
-        contexts = [ThreadContext(hw, counters, load_b, store_b)
-                    for _ in range(wl.nthreads)]
+        contexts = make_contexts(hw, [None] * wl.nthreads)
         total_stripes = wl.stripes_per_thread
         per_chunk = max(1, total_stripes // self.chunks)
         # The replayer's default counterfactual window: one adaptation
@@ -250,8 +200,8 @@ class DialgaEncoder(CodingLibrary):
         # The chunk loop is the paper's PMU sampler: one delta per
         # chunk boundary, handed to the coordinator and attached to
         # the chunk's phase span.
-        sampler = CounterSampler(
-            counters, period_ns=coord.config.sample_period_ns)
+        sampler = CounterSampler(contexts[0].counters,
+                                 period_ns=SAMPLE_PERIOD_NS)
         last_makespan = 0.0
         chunk_idx = 0
         while done < total_stripes:
@@ -283,7 +233,4 @@ class DialgaEncoder(CodingLibrary):
             coord.observe(delta, throughput_gbps=chunk_tput,
                           now_ns=res.makespan_ns)
             chunk_idx += 1
-        times = [ctx.clock for ctx in contexts]
-        data = sum(ctx.trace.data_bytes for ctx in contexts)
-        return SimResult(makespan_ns=max(times), thread_times_ns=times,
-                         counters=counters, data_bytes=data)
+        return res

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codes.rs import RSCode
-from repro.gf.arithmetic import GF
 from repro.libs.base import CodingLibrary
 from repro.simulator import HardwareConfig
-from repro.trace import IsalVariant, Trace, Workload, isal_trace
+from repro.trace import Trace, Workload, isal_trace
 
 
 class ISAL(CodingLibrary):
@@ -27,11 +26,9 @@ class ISAL(CodingLibrary):
     #: DIALGA's operator, so a pinned Policy maps onto an IsalVariant.
     supports_policy = True
 
-    def __init__(self, k: int, m: int, field: GF | None = None,
-                 variant: IsalVariant | None = None):
-        self.code = RSCode(k, m, field=field)
+    def __init__(self, k: int, m: int):
+        self.code = RSCode(k, m)
         self.k, self.m = k, m
-        self.variant = variant or IsalVariant()
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         """One-pass parity computation (bit-exact RS)."""
@@ -42,8 +39,9 @@ class ISAL(CodingLibrary):
         return self.code.decode(available, erased)
 
     def trace(self, wl: Workload, hw: HardwareConfig, thread: int) -> Trace:
-        return isal_trace(wl, hw.cpu, self.variant, thread=thread)
+        return isal_trace(wl, hw.cpu, thread=thread)
 
     def _trace_with_policy(self, wl, hw, thread, policy) -> Trace:
-        variant = self.variant if policy is None else policy.to_variant()
-        return isal_trace(wl, hw.cpu, variant, thread=thread)
+        if policy is None:
+            return self.trace(wl, hw, thread)
+        return isal_trace(wl, hw.cpu, policy.to_variant(), thread=thread)

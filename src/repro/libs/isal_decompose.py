@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codes.rs import RSCode
-from repro.gf.arithmetic import GF
 from repro.libs.base import CodingLibrary
 from repro.simulator import HardwareConfig
 from repro.trace import IsalVariant, Trace, Workload, isal_trace
@@ -24,11 +23,10 @@ class ISALDecompose(CodingLibrary):
 
     name = "ISA-L-D"
 
-    def __init__(self, k: int, m: int, group_size: int = 16,
-                 field: GF | None = None):
+    def __init__(self, k: int, m: int, group_size: int = 16):
         if group_size < 1:
             raise ValueError("group_size must be positive")
-        self.code = RSCode(k, m, field=field)
+        self.code = RSCode(k, m)
         self.k, self.m = k, m
         self.group_size = group_size
 

@@ -30,8 +30,8 @@ class BitmatrixCode:
     """
 
     def __init__(self, k: int, m: int, parity: np.ndarray,
-                 field: GF | None = None, optimize_encode: bool = True):
-        self.field = field or gf8
+                 optimize_encode: bool = True):
+        self.field = gf8
         self.k, self.m = k, m
         self.parity = np.asarray(parity, dtype=self.field.dtype)
         if self.parity.shape != (m, k):

@@ -44,7 +44,6 @@ from repro.obs.tracer import (
 # import repro.obs — eager imports here would cycle.
 _LAZY = {
     "DecisionLedger": "repro.obs.audit",
-    "DecisionRecord": "repro.obs.audit",
     "ledger_from_coordinator": "repro.obs.audit",
     "DecisionRegret": "repro.obs.replay",
     "RegretReport": "repro.obs.replay",
@@ -84,7 +83,6 @@ __all__ = [
     "assert_well_formed",
     # lazy (PEP 562) — decision audit, counterfactual replay
     "DecisionLedger",
-    "DecisionRecord",
     "ledger_from_coordinator",
     "DecisionRegret",
     "RegretReport",

@@ -8,16 +8,14 @@ predicate it evaluated (value, limit, fired?), the candidate policy
 set it weighed, the policy it chose, and the hill-climb trajectory of
 any distance search that ran.
 
-A :class:`DecisionLedger` consumes the
-:class:`~repro.core.coordinator.DecisionEvidence` trail an
-:class:`~repro.core.coordinator.AdaptiveCoordinator` accumulates —
-either live (wire :meth:`DecisionLedger.on_decision` as the
-coordinator's ``on_decision`` callback, or :meth:`attach` it) or after
-the fact (:meth:`ingest` / :func:`ledger_from_coordinator`). Records
-export as JSONL (:meth:`DecisionLedger.to_jsonl`) and as ``decision.*``
-events on the shared :class:`~repro.obs.tracer.Tracer` timeline
-(:meth:`emit_events`), and feed the counterfactual oracle replay in
-:mod:`repro.obs.replay`.
+A :class:`DecisionLedger` holds the
+:class:`~repro.core.coordinator.DecisionEvidence` trail a finished
+:class:`~repro.core.coordinator.AdaptiveCoordinator` accumulated on its
+``decision_log`` (:meth:`DecisionLedger.ingest` /
+:func:`ledger_from_coordinator`). Records export as JSONL
+(:meth:`DecisionLedger.to_jsonl`) and as ``decision.*`` events on the
+shared :class:`~repro.obs.tracer.Tracer` timeline (:meth:`emit_events`),
+and feed the counterfactual oracle replay in :mod:`repro.obs.replay`.
 """
 
 from __future__ import annotations
@@ -27,113 +25,49 @@ import pathlib
 from dataclasses import dataclass, field
 
 
-@dataclass
-class DecisionRecord:
-    """One audited coordinator decision, JSON-ready except for the live
-    :class:`~repro.core.policy.Policy` objects kept for replay."""
+def _fired(evidence) -> list[str]:
+    """Names of the predicates that fired in one decision."""
+    return [c.name for c in evidence.checks if c.fired]
 
-    #: Ledger index (ingestion order).
-    index: int
-    #: ``"initial"`` or ``"observe"`` (see DecisionEvidence.kind).
-    kind: str
-    #: Coordinator sample index (0 for the initial decision).
-    sample: int
-    #: Simulated timestamp the decision applies from.
-    now_ns: float
-    #: Non-zero counter deltas the coordinator saw.
-    delta: dict
-    #: Predicate evaluations as dicts: name/value/limit/fired.
-    checks: list
-    #: Candidate policies weighed (live Policy objects, chosen included).
-    candidates: list
-    #: Policy before the decision (None for the initial decision).
-    old: object | None
-    #: Policy after the decision.
-    chosen: object
-    #: Whether the policy changed.
-    switched: bool
-    #: Hill-climb trajectory ``(step, distance, ns_per_byte)``.
-    climb: list
-    #: Observed window throughput (None when unknown).
-    throughput_gbps: float | None
 
-    def to_dict(self) -> dict:
-        """Plain-JSON form (policies rendered via ``describe()``)."""
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "sample": self.sample,
-            "now_ns": self.now_ns,
-            "delta": dict(self.delta),
-            "checks": [dict(c) for c in self.checks],
-            "candidates": [p.describe() for p in self.candidates],
-            "old": self.old.describe() if self.old is not None else None,
-            "chosen": self.chosen.describe(),
-            "switched": self.switched,
-            "climb": [list(step) for step in self.climb],
-            "throughput_gbps": self.throughput_gbps,
-        }
-
-    def fired(self, name: str) -> bool:
-        """Whether the named predicate fired in this decision."""
-        return any(c["fired"] for c in self.checks if c["name"] == name)
+def _to_dict(index: int, evidence) -> dict:
+    """Plain-JSON form of one decision (policies via ``describe()``)."""
+    return {
+        "index": index,
+        "kind": evidence.kind,
+        "sample": evidence.sample,
+        "now_ns": evidence.now_ns,
+        "delta": dict(evidence.delta),
+        "checks": [c._asdict() for c in evidence.checks],
+        "candidates": [p.describe() for p in evidence.candidates],
+        "old": (evidence.old.describe() if evidence.old is not None
+                else None),
+        "chosen": evidence.chosen.describe(),
+        "switched": evidence.switched,
+        "climb": [list(step) for step in evidence.climb],
+        "throughput_gbps": evidence.throughput_gbps,
+    }
 
 
 @dataclass
 class DecisionLedger:
     """Append-only audit log of coordinator decisions.
 
-    Use one ledger per adaptive episode. Attach it to a coordinator
-    before the run for live capture, or ingest a finished coordinator's
-    ``decision_log`` afterwards — the records are identical either way
-    because the coordinator's evidence trail is itself complete.
+    Use one ledger per adaptive episode: ingest a finished
+    coordinator's ``decision_log``. A record's ledger index is its
+    position in :attr:`records`.
     """
 
-    records: list[DecisionRecord] = field(default_factory=list)
-    #: Workload/hardware of the audited episode (set by attach/ingest;
-    #: the replay's simulation inputs).
+    #: :class:`~repro.core.coordinator.DecisionEvidence`, in decision
+    #: order.
+    records: list = field(default_factory=list)
+    #: Workload/hardware of the audited episode (set by ingest; the
+    #: replay's simulation inputs).
     wl: object | None = None
     hw: object | None = None
     #: Default counterfactual window (stripes) — the coordinator's
     #: adaptation chunk size when known.
     window_stripes: int | None = None
-
-    # -- capture -----------------------------------------------------------
-
-    def on_decision(self, evidence) -> None:
-        """Record one :class:`~repro.core.coordinator.DecisionEvidence`
-        (suitable as the coordinator's ``on_decision`` callback)."""
-        self.records.append(DecisionRecord(
-            index=len(self.records),
-            kind=evidence.kind,
-            sample=evidence.sample,
-            now_ns=evidence.now_ns,
-            delta=dict(evidence.delta),
-            checks=[c._asdict() for c in evidence.checks],
-            candidates=list(evidence.candidates),
-            old=evidence.old,
-            chosen=evidence.chosen,
-            switched=evidence.switched,
-            climb=list(evidence.climb),
-            throughput_gbps=evidence.throughput_gbps,
-        ))
-
-    def attach(self, coordinator) -> "DecisionLedger":
-        """Wire this ledger into a live coordinator (chaining any
-        existing hook) and ingest decisions it already made."""
-        self.wl = coordinator.wl
-        self.hw = coordinator.hw
-        for evidence in coordinator.decision_log:
-            self.on_decision(evidence)
-        previous = coordinator.on_decision
-
-        def hook(evidence):
-            if previous is not None:
-                previous(evidence)
-            self.on_decision(evidence)
-
-        coordinator.on_decision = hook
-        return self
 
     def ingest(self, coordinator) -> "DecisionLedger":
         """Pull a finished coordinator's whole evidence trail."""
@@ -141,20 +75,19 @@ class DecisionLedger:
         self.hw = coordinator.hw
         if coordinator.window_stripes is not None:
             self.window_stripes = coordinator.window_stripes
-        for evidence in coordinator.decision_log:
-            self.on_decision(evidence)
+        self.records.extend(coordinator.decision_log)
         return self
 
     # -- reading -----------------------------------------------------------
 
     @property
-    def switches(self) -> list[DecisionRecord]:
+    def switches(self) -> list:
         """Decisions that changed the policy."""
         return [r for r in self.records if r.switched]
 
     def to_records(self) -> list[dict]:
         """Every decision as a plain dict (JSONL line order)."""
-        return [r.to_dict() for r in self.records]
+        return [_to_dict(i, r) for i, r in enumerate(self.records)]
 
     def to_jsonl(self) -> str:
         """The ledger as newline-delimited JSON."""
@@ -187,18 +120,18 @@ class DecisionLedger:
         if not tracer.enabled:
             return 0
         emitted = 0
-        for rec in self.records:
-            fired = [c["name"] for c in rec.checks if c["fired"]]
+        for index, rec in enumerate(self.records):
             tracer.event("decision.evaluated", rec.now_ns,
-                         track="decision", index=rec.index, kind=rec.kind,
-                         sample=rec.sample, fired=" ".join(fired) or "none",
+                         track="decision", index=index, kind=rec.kind,
+                         sample=rec.sample,
+                         fired=" ".join(_fired(rec)) or "none",
                          candidates=len(rec.candidates),
                          chosen=rec.chosen.describe(),
                          switched=rec.switched)
             emitted += 1
             if rec.switched and rec.old is not None:
                 tracer.event("decision.switch", rec.now_ns,
-                             track="decision", index=rec.index,
+                             track="decision", index=index,
                              sample=rec.sample, old=rec.old.describe(),
                              new=rec.chosen.describe())
                 emitted += 1
@@ -209,13 +142,12 @@ class DecisionLedger:
         lines = [f"decision ledger: {len(self.records)} decisions, "
                  f"{len(self.switches)} switches"]
         rows = self.records if max_rows is None else self.records[:max_rows]
-        for rec in rows:
-            fired = [c["name"] for c in rec.checks if c["fired"]]
+        for index, rec in enumerate(rows):
             mark = "SWITCH" if rec.switched else "keep  "
             lines.append(
-                f"  [{rec.index:>2}] {rec.kind:<7} t={rec.now_ns / 1e3:10.1f}us "
+                f"  [{index:>2}] {rec.kind:<7} t={rec.now_ns / 1e3:10.1f}us "
                 f"{mark} -> {rec.chosen.describe()}  "
-                f"fired={','.join(fired) or '-'}  "
+                f"fired={','.join(_fired(rec)) or '-'}  "
                 f"candidates={len(rec.candidates)}"
                 + (f"  climb={len(rec.climb)} moves" if rec.climb else ""))
         if max_rows is not None and len(self.records) > max_rows:

@@ -146,12 +146,12 @@ class RegretReport:
 def _window_cost(policy, wl, hw) -> float:
     """Simulated ns/byte of one decision window under ``policy``.
 
-    Goes through the :func:`repro.simulate` facade so an installed
-    content cache memoizes repeated (trace, hardware) windows — the
-    same candidate policy recurs across decisions, so a replay is
-    mostly cache hits after the first window.
+    Goes through :func:`repro.simulate` so an installed content cache
+    memoizes repeated (trace, hardware) windows — the same candidate
+    policy recurs across decisions, so a replay is mostly cache hits
+    after the first window.
     """
-    from repro.simulator.api import simulate
+    from repro.simulator import simulate
     from repro.trace import isal_trace
 
     traces = [isal_trace(wl, hw.cpu, policy.to_variant(), thread=t)
@@ -177,7 +177,7 @@ def replay_decisions(ledger, *, window_stripes: int | None = None,
         A :class:`~repro.parallel.cache.ContentCache` to memoize window
         simulations in (a fresh in-memory cache is used by default).
 
-    The replay runs with tracing disabled (the facade's cache path
+    The replay runs with tracing disabled (the simulate cache
     requires it, and thousands of window spans would drown the
     timeline); emit ledger events separately via
     :meth:`~repro.obs.audit.DecisionLedger.emit_events`.
@@ -196,7 +196,7 @@ def replay_decisions(ledger, *, window_stripes: int | None = None,
     store = cache if cache is not None else ContentCache()
     report = RegretReport(window_stripes=stripes)
     with use_tracer(NULL_TRACER), sim_cache(store):
-        for rec in ledger.records:
+        for index, rec in enumerate(ledger.records):
             costs: dict = {}
             by_policy = {}
             for pol in rec.candidates:
@@ -209,7 +209,7 @@ def replay_decisions(ledger, *, window_stripes: int | None = None,
                 costs[chosen_desc] = _window_cost(rec.chosen, wl, hw)
             best_desc = min(costs, key=lambda d: (costs[d], d))
             report.decisions.append(DecisionRegret(
-                index=rec.index, kind=rec.kind, sample=rec.sample,
+                index=index, kind=rec.kind, sample=rec.sample,
                 switched=rec.switched, candidate_ns_per_byte=costs,
                 chosen=chosen_desc, best=best_desc,
                 chosen_ns_per_byte=costs[chosen_desc],

@@ -13,9 +13,10 @@ made it.
 Two layers use this module:
 
 * :func:`repro.simulate` — when a cache is installed (see
-  :func:`install_sim_cache` / :func:`sim_cache`), repeated
-  (trace, hardware) simulations are served from memory; counterfactual
-  replay (:mod:`repro.obs.replay`) installs one;
+  :func:`install_sim_cache` / :func:`sim_cache`) in the ``_SIM_CACHE``
+  seam of :mod:`repro.simulator.multicore`, repeated (trace, hardware)
+  simulations are served from memory; counterfactual replay
+  (:mod:`repro.obs.replay`) installs one;
 * :func:`repro.parallel.run_sweep` — whole sweep cells
   (library × workload × hardware × policy) memoize their results;
   ``python -m repro.bench sweep`` times a warm pass.
@@ -34,8 +35,7 @@ import pickle
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
-from repro.simulator import api as _sim_api
-from repro.simulator.multicore import simulate as _simulate_raw
+from repro.simulator import multicore as _multicore
 from repro.trace.ops import Trace
 
 # -- fingerprinting ------------------------------------------------------
@@ -139,7 +139,8 @@ class ContentCache:
 
 
 class SimCache:
-    """Memoizes ``simulate`` through the :mod:`repro.simulator.api` seam."""
+    """Memoizes :func:`repro.simulate` through its ``_SIM_CACHE`` seam
+    (in :mod:`repro.simulator.multicore`)."""
 
     def __init__(self, store: ContentCache):
         self.store = store
@@ -148,7 +149,8 @@ class SimCache:
         key = sim_key(traces, hw, fastforward=fastforward)
         res = self.store.get(key)
         if res is None:
-            res = _simulate_raw(traces, hw, fastforward=fastforward)
+            res = _multicore._simulate(traces, hw, contexts=None, drain=True,
+                                       fastforward=fastforward)
             self.store.put(key, res)
         return res
 
@@ -159,21 +161,21 @@ def install_sim_cache(store: ContentCache | None = None) -> ContentCache:
     # `store or ...` would discard a caller's *empty* cache: ContentCache
     # defines __len__, so a fresh store is falsy.
     store = store if store is not None else ContentCache()
-    _sim_api._SIM_CACHE = SimCache(store)
+    _multicore._SIM_CACHE = SimCache(store)
     return store
 
 
 def uninstall_sim_cache() -> None:
     """Remove the simulate() cache (simulations run fresh again)."""
-    _sim_api._SIM_CACHE = None
+    _multicore._SIM_CACHE = None
 
 
 @contextmanager
 def sim_cache(store: ContentCache | None = None):
     """Scoped :func:`install_sim_cache`; yields the backing store."""
-    previous = _sim_api._SIM_CACHE
+    previous = _multicore._SIM_CACHE
     store = install_sim_cache(store)
     try:
         yield store
     finally:
-        _sim_api._SIM_CACHE = previous
+        _multicore._SIM_CACHE = previous

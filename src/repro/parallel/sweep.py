@@ -190,13 +190,21 @@ def _pool_round(todo: list[tuple[int, SweepCell]],
     lost: list[tuple[int, SweepCell]] = []
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        futures = [(i, cell, pool.submit(_run_cell, i, cell))
-                   for i, cell in todo]
+        futures, unsent = [], []
+        for n, (i, cell) in enumerate(todo):
+            try:
+                futures.append((i, cell, pool.submit(_run_cell, i, cell)))
+            except BrokenProcessPool:
+                # A worker died before the round was fully submitted:
+                # the unsubmitted rest is lost along with it.
+                unsent = todo[n:]
+                break
         for i, cell, fut in futures:
             try:
                 done[i] = fut.result()
             except BrokenProcessPool:
                 lost.append((i, cell))
+        lost.extend(unsent)
     finally:
         # Never block shutdown on a dead pool.
         pool.shutdown(wait=not lost, cancel_futures=True)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.service.request import Priority, Request
+from repro.service.request import BASE_LATENCY_NS, Priority, Request
 
 #: A batch slower than this many ``target_batch_latency_ns`` reads as
 #: saturated to the brownout state machine.
@@ -280,7 +280,7 @@ class OverloadManager:
     """
 
     def __init__(self, config: OverloadConfig, *, capacity_threads: int,
-                 base_latency_ns: float = 2_000.0):
+                 base_latency_ns: float = BASE_LATENCY_NS):
         self.config = config
         self.concurrency = ConcurrencyController(
             capacity_threads,

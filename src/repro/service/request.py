@@ -12,6 +12,11 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+#: Fixed per-request service overhead (parse, index, commit), in ns —
+#: the service's latency floor and the overload manager's initial
+#: batch-time estimate.
+BASE_LATENCY_NS = 2_000.0
+
 
 class RequestKind(str, enum.Enum):
     """What the client asked for."""

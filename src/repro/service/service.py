@@ -38,13 +38,16 @@ from repro.service.admission import AdmissionController
 from repro.service.metrics import MetricsRegistry
 from repro.service.overload import OverloadConfig, OverloadManager
 from repro.service.queue import BatchKey, Batch, RequestQueue
-from repro.service.request import Request, RequestKind, RequestResult, RequestStatus
+from repro.service.request import (
+    BASE_LATENCY_NS,
+    Request,
+    RequestKind,
+    RequestResult,
+    RequestStatus,
+)
 from repro.service.retry import RetryPolicy
 from repro.simulator.params import HardwareConfig
 from repro.trace.workload import Workload
-
-#: Fixed per-request service overhead (parse, index, commit), in ns.
-BASE_LATENCY_NS = 2_000.0
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -31,8 +31,7 @@ from repro.simulator.readbuffer import PMReadBuffer
 from repro.simulator.memory import DRAMBackend, PMBackend
 from repro.simulator.engine import ThreadContext
 from repro.simulator.fastforward import run_fastforward
-from repro.simulator.multicore import SimResult
-from repro.simulator.api import simulate
+from repro.simulator.multicore import SimResult, simulate
 from repro.simulator.presets import PRESETS, get_preset
 from repro.simulator.profiler import perf_report
 

@@ -1,4 +1,5 @@
-"""Multi-thread simulation: interleaved execution over shared PM.
+"""The simulation entry point, :func:`simulate`: 1..N thread traces,
+interleaved over shared PM.
 
 Threads run on private cores (own cache + streamer) but share the
 memory backends — bandwidth pipes and, crucially, the PM read buffer.
@@ -25,6 +26,11 @@ from repro.simulator.engine import ThreadContext
 from repro.simulator.memory import DRAMBackend, PMBackend
 from repro.simulator.params import HardwareConfig
 from repro.trace.ops import Trace
+
+#: Content-addressed (trace, hardware) -> SimResult cache, installed by
+#: :func:`repro.parallel.cache.install_sim_cache`. ``None`` disables
+#: memoization (the default).
+_SIM_CACHE = None
 
 
 @dataclass
@@ -76,43 +82,85 @@ def make_backends(hw: HardwareConfig, counters: Counters):
     return backend_for(hw.load_source), backend_for(hw.store_target)
 
 
-def simulate(traces: list[Trace], hw: HardwareConfig,
+def make_contexts(hw: HardwareConfig, traces) -> list[ThreadContext]:
+    """Fresh thread contexts, one per trace (None for an empty one),
+    over one shared set of counters and memory backends."""
+    counters = Counters()
+    load_b, store_b = make_backends(hw, counters)
+    return [ThreadContext(hw, counters, load_b, store_b, trace=t)
+            for t in traces]
+
+
+def simulate(trace, hardware: HardwareConfig | None = None, *,
              contexts: list[ThreadContext] | None = None,
              drain: bool = True,
-             fastforward: bool = False) -> SimResult:
-    """Run one trace per thread against a shared memory system.
+             fastforward: bool | None = None) -> SimResult:
+    """Simulate one or more traces against a hardware configuration.
+
+    This is the one simulation entry point, and the seam where the
+    content-addressed result cache (:mod:`repro.parallel.cache`) hooks
+    in: when a cache is installed and the run is cacheable (fresh
+    contexts, full drain, tracing disabled), a repeated (trace,
+    hardware) simulation is served from memory without re-executing —
+    bit-identically, because simulation is a pure function of those
+    inputs.
 
     Parameters
     ----------
-    traces:
-        One op trace per thread.
-    hw:
-        Testbed description.
+    trace:
+        A single :class:`~repro.trace.ops.Trace` or a sequence of them
+        (one per thread, over shared memory). May be empty only when
+        ``contexts`` resumes a previous run.
+    hardware:
+        Testbed description; defaults to the paper's platform
+        (``HardwareConfig()``).
     contexts:
-        Pre-built thread contexts (advanced use: the DIALGA coordinator
-        re-enters the simulator with live contexts between chunks).
+        Live :class:`~repro.simulator.engine.ThreadContext` list to
+        resume (advanced use: the DIALGA coordinator re-enters the
+        simulator between chunks). Never served from cache.
     drain:
         Flush core caches at the end, accounting still-resident unused
         prefetches as useless. Pass False for intermediate chunks of a
         longer run (the caches stay warm across re-entries).
     fastforward:
-        Skip steady-state stripe periods by exact extrapolation (see
-        :mod:`repro.simulator.fastforward`). Only takes effect when a
-        single thread is live — multicore contention couples threads
-        through the shared backends. Results are byte-identical either
-        way; the stats land on ``SimResult.fastforward``.
+        Skip steady-state stripe periods by exact extrapolation
+        (:mod:`repro.simulator.fastforward`); results are byte-
+        identical to plain interpretation, the stats land on
+        ``SimResult.fastforward``. Default (None) enables it exactly
+        for single-thread runs on fresh contexts. It only takes effect
+        when a single thread is live — under multicore contention the
+        shared backends couple the threads and the per-thread
+        periodicity dissolves.
     """
-    if not traces and not contexts:
-        raise ValueError("need at least one trace")
-    counters = Counters()
-    if contexts is None:
-        load_b, store_b = make_backends(hw, counters)
-        contexts = [
-            ThreadContext(hw, counters, load_b, store_b, trace=t)
-            for t in traces
-        ]
+    if hardware is None:
+        hardware = HardwareConfig()
+    if isinstance(trace, Trace):
+        traces = [trace]
+    elif trace is None:
+        traces = []
     else:
-        counters = contexts[0].counters
+        traces = list(trace)
+        for t in traces:
+            if not isinstance(t, Trace):
+                raise TypeError(f"expected Trace, got {type(t).__name__}")
+    if not traces and not contexts:
+        raise ValueError("need at least one trace (or live contexts)")
+    if fastforward is None:
+        fastforward = len(traces) == 1 and contexts is None
+    cache = _SIM_CACHE
+    if (cache is not None and contexts is None and drain
+            and not get_tracer().enabled):
+        return cache.simulate(traces, hardware, fastforward=fastforward)
+    return _simulate(traces, hardware, contexts, drain, fastforward)
+
+
+def _simulate(traces: list[Trace], hw: HardwareConfig,
+              contexts: list[ThreadContext] | None, drain: bool,
+              fastforward: bool) -> SimResult:
+    """:func:`simulate`'s uncached body (the cache calls it on a miss)."""
+    if contexts is None:
+        contexts = make_contexts(hw, traces)
+    counters = contexts[0].counters
     tracer = get_tracer()
     if not tracer.enabled:
         return _run(contexts, counters, drain, fastforward)
@@ -129,7 +177,7 @@ def simulate(traces: list[Trace], hw: HardwareConfig,
 
 
 def _run(contexts: list[ThreadContext], counters: Counters,
-         drain: bool, fastforward: bool = False) -> SimResult:
+         drain: bool, fastforward: bool) -> SimResult:
     """The scheduling loop proper (tracing handled by the caller)."""
     ff_stats = None
     heap: list[tuple[float, int]] = [

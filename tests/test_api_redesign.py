@@ -7,11 +7,9 @@ import pytest
 
 from repro.core import (
     AdaptiveCoordinator,
-    CoordinatorConfig,
     DialgaConfig,
     DialgaEncoder,
     Policy,
-    PolicySwitch,
 )
 from repro.libs import (
     ISAL,
@@ -20,6 +18,7 @@ from repro.libs import (
     UnsupportedWorkload,
     Zerasure,
 )
+from repro.obs import Tracer, use_tracer
 from repro.simulator import HardwareConfig
 from repro.simulator.counters import Counters
 from repro.trace import Workload
@@ -32,9 +31,8 @@ HW = HardwareConfig()
 
 def test_dialga_config_defaults_match_old_constructor_defaults():
     cfg = DialgaConfig()
-    assert cfg.adaptive and cfg.use_probe
+    assert cfg.use_probe
     assert cfg.chunks == 6
-    assert cfg.policy_override is None and cfg.coordinator is None
 
 
 def test_dialga_config_is_frozen_and_keyword_only():
@@ -43,13 +41,6 @@ def test_dialga_config_is_frozen_and_keyword_only():
         cfg.chunks = 3
     with pytest.raises(TypeError):
         DialgaConfig(None, True)  # positional use must fail
-
-
-def test_dialga_config_with_copies():
-    cfg = DialgaConfig(chunks=2)
-    cfg2 = cfg.with_(use_probe=False)
-    assert cfg2.chunks == 2 and not cfg2.use_probe
-    assert cfg.use_probe  # original untouched
 
 
 def test_encoder_takes_config_silently():
@@ -83,15 +74,9 @@ def test_duplicate_positional_and_keyword_is_an_error():
 
 
 def test_compat_properties_mirror_config():
-    cc = CoordinatorConfig(thread_threshold=4)
-    enc = DialgaEncoder(6, 3, config=DialgaConfig(
-        adaptive=False, chunks=0, use_probe=False,
-        policy_override=Policy(hw_prefetch=False), coordinator=cc))
-    assert enc.adaptive is False
+    enc = DialgaEncoder(6, 3, config=DialgaConfig(chunks=0, use_probe=False))
     assert enc.chunks == 1  # clamped, as the old attribute was used
     assert enc.use_probe is False
-    assert enc.policy_override == Policy(hw_prefetch=False)
-    assert enc.coordinator_config is cc
 
 
 # ------------------------------------------------------ uniform run()
@@ -142,7 +127,9 @@ def test_dialga_run_policy_pins_this_run_only(enc):
     pol = Policy(hw_prefetch=False, sw_distance=3)
     enc.run(WL, HW, policy=pol)
     assert enc.policy_log == [pol]
-    assert enc.config.policy_override is None  # not persisted
+    enc.run(WL, HW)  # not persisted: the next run adapts again
+    assert enc.last_coordinator is not None
+    assert len(enc.policy_log) >= enc.chunks
 
 
 def test_isal_honors_pinned_policy():
@@ -199,20 +186,24 @@ def test_geometry_mismatch_raised_and_is_a_value_error(enc):
 def test_coordinator_emits_policy_switch_events():
     wl = Workload.rs(12, 8, block_bytes=1024, nthreads=2,
                      data_bytes_per_thread=16 * 1024)
-    seen = []
-    coord = AdaptiveCoordinator(wl, HW, on_switch=seen.append)
+    coord = AdaptiveCoordinator(wl, HW)
     assert coord.policy.hw_prefetch  # low-pressure start
     coord.set_baseline(Counters(loads=1000, load_stall_ns=50_000.0,
                                 hwpf_useless=10))
     # Contention + inefficiency together force the high-pressure flip.
-    coord.observe(Counters(loads=1000, load_stall_ns=500_000.0,
-                           hwpf_useless=500))
+    tracer = Tracer("test")
+    with use_tracer(tracer):
+        coord.observe(Counters(loads=1000, load_stall_ns=500_000.0,
+                               hwpf_useless=500))
     assert coord.switches == 1
-    assert len(coord.switch_events) == 1 and seen == coord.switch_events
-    ev = coord.switch_events[0]
-    assert isinstance(ev, PolicySwitch)
-    assert ev.old.hw_prefetch and not ev.new.hw_prefetch
-    assert ev.sample == 1
+    ev = coord.decision_log[-1]
+    assert ev.switched and ev.sample == 1
+    assert ev.old.hw_prefetch and not ev.chosen.hw_prefetch
+    [event] = [e for e in tracer.events
+               if e.name == "coordinator.policy_switch"]
+    assert event.attrs["sample"] == 1
+    assert event.attrs["old"] == ev.old.describe()
+    assert event.attrs["new"] == ev.chosen.describe()
 
 
 # ------------------------------------------------------------- façade
@@ -220,7 +211,7 @@ def test_coordinator_emits_policy_switch_events():
 def test_facade_exports_the_new_surface():
     import repro
 
-    for name in ("DialgaConfig", "PolicySwitch", "GeometryMismatch",
+    for name in ("DialgaConfig", "GeometryMismatch",
                  "TransientFault",
                  "ErasureCodingService", "ServiceConfig", "Request",
                  "RequestResult", "RetryPolicy", "MetricsRegistry"):

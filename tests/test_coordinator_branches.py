@@ -3,7 +3,7 @@
 import pytest
 
 from repro import HardwareConfig, Workload
-from repro.core import AdaptiveCoordinator, CoordinatorConfig
+from repro.core import AdaptiveCoordinator, coordinator
 from repro.core.buffer_friendly import thrash_thread_bound
 from repro.simulator import Counters
 
@@ -110,9 +110,11 @@ def test_initial_high_pressure_never_restores_to_low():
     assert coord.switches == 0
 
 
-def test_custom_thresholds_respected():
-    cfg = CoordinatorConfig(latency_factor=5.0, useless_growth_factor=100.0)
-    coord = AdaptiveCoordinator(_wl(), HW, config=cfg)
+def test_custom_thresholds_respected(monkeypatch):
+    # The thresholds are module constants, read at decision time.
+    monkeypatch.setattr(coordinator, "LATENCY_FACTOR", 5.0)
+    monkeypatch.setattr(coordinator, "USELESS_GROWTH_FACTOR", 100.0)
+    coord = AdaptiveCoordinator(_wl(), HW)
     cal = Counters()
     cal.loads, cal.load_stall_ns, cal.hwpf_useless = 1000, 10_000.0, 10
     coord.set_baseline(cal)

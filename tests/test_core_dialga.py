@@ -6,7 +6,6 @@ import pytest
 from repro import DialgaConfig, DialgaEncoder, HardwareConfig, Workload, ISAL
 from repro.core import (
     AdaptiveCoordinator,
-    CoordinatorConfig,
     HillClimber,
     Policy,
     bf_distances,
@@ -213,9 +212,8 @@ def test_initial_policy_wide_stripe():
 
 
 def test_initial_policy_thread_threshold_boundary():
-    cfg = CoordinatorConfig(thread_threshold=12)
-    at = AdaptiveCoordinator(_wl(nthreads=12), HW, config=cfg).policy
-    above = AdaptiveCoordinator(_wl(nthreads=13), HW, config=cfg).policy
+    at = AdaptiveCoordinator(_wl(nthreads=12), HW).policy
+    above = AdaptiveCoordinator(_wl(nthreads=13), HW).policy
     assert at.hw_prefetch and not above.hw_prefetch
 
 
@@ -292,9 +290,10 @@ def test_dialga_policy_log_populated():
 
 def test_dialga_policy_override():
     pol = Policy(hw_prefetch=False, sw_distance=16)
-    enc = DialgaEncoder(8, 4, config=DialgaConfig(policy_override=pol))
-    enc.run(_wl(), HW)
+    enc = DialgaEncoder(8, 4)
+    enc.run(_wl(), HW, policy=pol)
     assert enc.policy_log == [pol]
+    assert enc.last_coordinator is None  # pinned: no adaptation
 
 
 def test_dialga_beats_isal_on_pm():
@@ -305,8 +304,9 @@ def test_dialga_beats_isal_on_pm():
 
 
 def test_dialga_nonadaptive_single_policy():
-    enc = DialgaEncoder(8, 4, config=DialgaConfig(adaptive=False, use_probe=False))
-    enc.run(_wl(), HW)
+    wl = _wl()
+    enc = DialgaEncoder(8, 4, config=DialgaConfig(use_probe=False))
+    enc.run(wl, HW, policy=AdaptiveCoordinator(wl, HW).policy)
     assert len(enc.policy_log) == 1
 
 

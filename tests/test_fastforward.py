@@ -7,7 +7,6 @@ import pytest
 from repro.obs import Tracer, use_tracer
 from repro.parallel.cache import sim_key
 from repro.simulator import HardwareConfig, simulate
-from repro.simulator.multicore import simulate as simulate_raw
 from repro.simulator.params import CacheConfig
 from repro.trace import (COMPUTE, FENCE, LOAD, STORE, IsalVariant, Trace,
                          TracePeriod, Workload, detect_period, isal_trace)
@@ -163,8 +162,8 @@ class TestFallback:
 
     def test_multicore_unaffected_by_flag(self):
         tr = encode_trace(30)
-        a = simulate_raw([tr, tr], SMALL_HW, fastforward=False)
-        b = simulate_raw([tr, tr], SMALL_HW, fastforward=True)
+        a = simulate([tr, tr], SMALL_HW, fastforward=False)
+        b = simulate([tr, tr], SMALL_HW, fastforward=True)
         assert_identical(a, b)
         assert b.fastforward is None
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro import (
-    Cerasure, DialgaConfig, DialgaEncoder, HardwareConfig, ISAL, ISALDecompose,
-    LRCCode, RSCode, Workload, Zerasure,
+    AdaptiveCoordinator, Cerasure, DialgaConfig, DialgaEncoder, HardwareConfig,
+    ISAL, ISALDecompose, LRCCode, RSCode, Workload, Zerasure,
 )
 from repro.bench.figures import fig03, fig05
 from repro.codes import join_blocks, split_blocks
@@ -80,7 +80,8 @@ def test_adaptive_run_matches_nonadaptive_when_stable():
     pinned initial policy by more than chunking noise."""
     wl = Workload(k=8, m=4, block_bytes=1024, data_bytes_per_thread=64 * 1024)
     adaptive = DialgaEncoder(8, 4, config=DialgaConfig(use_probe=False, chunks=4)).run(wl, HW)
-    pinned = DialgaEncoder(8, 4, config=DialgaConfig(use_probe=False, adaptive=False)).run(wl, HW)
+    pinned = DialgaEncoder(8, 4).run(
+        wl, HW, policy=AdaptiveCoordinator(wl, HW).policy)
     ratio = adaptive.throughput_gbps / pinned.throughput_gbps
     assert 0.9 <= ratio <= 1.1, ratio
 

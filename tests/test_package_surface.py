@@ -25,6 +25,8 @@ PACKAGES = [
     "repro.pmstore",
     "repro.service",
     "repro.chaos",
+    "repro.obs",
+    "repro.crash",
 ]
 
 

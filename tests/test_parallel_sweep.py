@@ -204,8 +204,8 @@ def test_sim_cache_serves_identical_results():
     assert first.counters.snapshot() == fresh.counters.snapshot()
     assert store.hits == 1 and store.misses == 1
     # and the hook is gone afterwards
-    from repro.simulator import api
-    assert api._SIM_CACHE is None
+    from repro.simulator import multicore
+    assert multicore._SIM_CACHE is None
 
 
 def test_sim_key_depends_on_hardware_and_batching():
@@ -340,6 +340,35 @@ def test_resubmission_budget_exhaustion_surfaces_errors(monkeypatch):
         if r.supported and r.error is not None:
             assert "worker died" in r.error
     assert any(r.error is None for r in result.results if r.supported)
+
+
+class _BreaksOnSecondSubmit:
+    """In-process stand-in for a pool whose worker dies while the round
+    is still being submitted: the second ``submit`` finds it broken."""
+
+    def __init__(self, max_workers):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+        self.submitted += 1
+        if self.submitted > 1:
+            raise BrokenProcessPool("a worker died")
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_pool_broken_mid_submission_loses_only_unsent_cells(monkeypatch):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _BreaksOnSecondSubmit)
+    todo = list(enumerate(small_spec(workloads=WLS[:1]).cells()))
+    done, lost = sweep._pool_round(todo, workers=2)
+    assert list(done) == [0] and done[0].error is None
+    assert lost == todo[1:]
 
 
 def test_executor_fault_errors_never_poison_the_cache(monkeypatch):
