@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 
 from repro.bench.report import FigureResult
+from repro.parallel.cache import sim_cache
 from repro.simulator import HardwareConfig, simulate
 from repro.trace import IsalVariant, Workload, isal_trace
 from repro.trace.update_gen import update_trace
@@ -51,12 +52,15 @@ def _encode_trace(cpu, stripes: int, *, op: str = "encode",
 
 
 def _row(fig: FigureResult, label: str, trace, hw) -> dict:
-    """Run one workload both ways; returns the numbers for checks."""
-    t0 = time.perf_counter()
-    plain = simulate(trace, hw, fastforward=False)
-    t1 = time.perf_counter()
-    fast = simulate(trace, hw, fastforward=True)
-    t2 = time.perf_counter()
+    """Run one workload both ways; returns the numbers for checks.
+
+    The memo is off: both paths must really run to be timed."""
+    with sim_cache(None):
+        t0 = time.perf_counter()
+        plain = simulate(trace, hw, fastforward=False)
+        t1 = time.perf_counter()
+        fast = simulate(trace, hw, fastforward=True)
+        t2 = time.perf_counter()
     interp_s, ff_s = t1 - t0, t2 - t1
     stats = fast.fastforward or {}
     out = {

@@ -17,7 +17,8 @@ import pathlib
 import sys
 import time
 
-from repro.parallel import ContentCache, SweepSpec, fingerprint, run_sweep
+from repro.parallel import (
+    ContentCache, SweepSpec, fingerprint, run_sweep, sim_cache)
 from repro.trace import Workload
 
 
@@ -60,20 +61,25 @@ def benchmark_sweep(spec: SweepSpec, workers: int = 2) -> dict:
     Returns a JSON-able report: the three wall-clocks, the speedups,
     the bit-identity verdicts, and a content fingerprint of the result
     payload.
+
+    All three passes run with the simulation memo off, so both cold
+    passes simulate every cell: pool workers fork with the parent's
+    memo, which would otherwise already hold the serial pass's runs.
     """
     cache = ContentCache()
 
-    t0 = time.perf_counter()
-    serial = run_sweep(spec, workers=1)
-    serial_s = time.perf_counter() - t0
+    with sim_cache(None):
+        t0 = time.perf_counter()
+        serial = run_sweep(spec, workers=1)
+        serial_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    parallel = run_sweep(spec, workers=workers, cache=cache)
-    parallel_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        parallel = run_sweep(spec, workers=workers, cache=cache)
+        parallel_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    warm = run_sweep(spec, workers=1, cache=cache)
-    warm_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        warm = run_sweep(spec, workers=1, cache=cache)
+        warm_s = time.perf_counter() - t0
 
     identical = serial == parallel
     warm_identical = serial == warm

@@ -32,23 +32,27 @@ def cauchy_matrix(field: GF, x_points, y_points) -> np.ndarray:
     return field.inv(sums)
 
 
-def systematic_cauchy(field: GF, k: int, m: int,
-                      x_points=None, y_points=None) -> np.ndarray:
+#: Generators built so far, by (w, polynomial, k, m); read-only.
+_GENERATORS: dict[tuple, np.ndarray] = {}
+
+
+def systematic_cauchy(field: GF, k: int, m: int) -> np.ndarray:
     """Systematic (k+m) x k generator: identity on top, Cauchy parity rows.
 
-    Default points are ``x = {k..k+m-1}``, ``y = {0..k-1}`` (Jerasure's
-    ``cauchy_original_coding_matrix`` convention).
+    Points are ``x = {k..k+m-1}``, ``y = {0..k-1}`` (Jerasure's
+    ``cauchy_original_coding_matrix`` convention). Built once per field
+    and (k, m): the returned matrix is shared and read-only.
     """
     if k + m > field.order:
         raise ValueError(f"k+m={k + m} exceeds field order {field.order}")
-    if x_points is None:
-        x_points = range(k, k + m)
-    if y_points is None:
-        y_points = range(k)
-    parity = cauchy_matrix(field, x_points, y_points)
-    G = np.zeros((k + m, k), dtype=field.dtype)
-    G[np.arange(k), np.arange(k)] = 1
-    G[k:] = parity
+    key = (field.w, field.tables.poly, k, m)
+    G = _GENERATORS.get(key)
+    if G is None:
+        G = np.zeros((k + m, k), dtype=field.dtype)
+        G[np.arange(k), np.arange(k)] = 1
+        G[k:] = cauchy_matrix(field, range(k, k + m), range(k))
+        G.flags.writeable = False
+        _GENERATORS[key] = G
     return G
 
 

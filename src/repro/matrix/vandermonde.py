@@ -32,17 +32,28 @@ def vandermonde_matrix(field: GF, rows: int, cols: int) -> np.ndarray:
     return V
 
 
+#: Generators built so far, by (w, polynomial, k, m); read-only.
+_GENERATORS: dict[tuple, np.ndarray] = {}
+
+
 def systematic_vandermonde(field: GF, k: int, m: int) -> np.ndarray:
     """Systematic (k+m) x k generator matrix.
 
     The top k rows are the identity; the bottom m rows generate parity.
     Equivalent in spirit to ISA-L ``gf_gen_rs_matrix(a, k+m, k)``.
+    Built once per field and (k, m): the returned matrix is shared and
+    read-only.
     """
     if k + m > field.order:
         raise ValueError(
             f"RS({k + m},{k}) does not fit in GF(2^{field.w}) "
             f"(need k+m <= {field.order})"
         )
-    V = vandermonde_matrix(field, k + m, k)
-    top_inv = gf_invert_matrix(field, V[:k])
-    return field.matmul(V, top_inv)
+    key = (field.w, field.tables.poly, k, m)
+    G = _GENERATORS.get(key)
+    if G is None:
+        V = vandermonde_matrix(field, k + m, k)
+        G = field.matmul(V, gf_invert_matrix(field, V[:k]))
+        G.flags.writeable = False
+        _GENERATORS[key] = G
+    return G

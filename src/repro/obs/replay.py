@@ -146,7 +146,7 @@ class RegretReport:
 def _window_cost(policy, wl, hw) -> float:
     """Simulated ns/byte of one decision window under ``policy``.
 
-    Goes through :func:`repro.simulate` so an installed content cache
+    Goes through :func:`repro.simulate` so the replay's memo
     memoizes repeated (trace, hardware) windows — the same candidate
     policy recurs across decisions, so a replay is mostly cache hits
     after the first window.
@@ -160,8 +160,8 @@ def _window_cost(policy, wl, hw) -> float:
     return res.makespan_ns / max(1, res.data_bytes)
 
 
-def replay_decisions(ledger, *, window_stripes: int | None = None,
-                     cache=None) -> RegretReport:
+def replay_decisions(ledger, *,
+                     window_stripes: int | None = None) -> RegretReport:
     """Score every ledger decision against its in-window oracle.
 
     Parameters
@@ -173,17 +173,16 @@ def replay_decisions(ledger, *, window_stripes: int | None = None,
     window_stripes:
         Stripes per counterfactual window. Defaults to the ledger's
         recorded adaptation chunk size, else 2.
-    cache:
-        A :class:`~repro.parallel.cache.ContentCache` to memoize window
-        simulations in (a fresh in-memory cache is used by default).
 
-    The replay runs with tracing disabled (the simulate cache
-    requires it, and thousands of window spans would drown the
-    timeline); emit ledger events separately via
+    Window simulations are memoized in a fresh
+    :class:`~repro.parallel.cache.SimCache`, so ``cache_stats`` count
+    this replay's windows only. The replay runs with tracing disabled
+    (the simulate memo requires it, and thousands of window spans
+    would drown the timeline); emit ledger events separately via
     :meth:`~repro.obs.audit.DecisionLedger.emit_events`.
     """
     from repro.obs.tracer import NULL_TRACER, use_tracer
-    from repro.parallel.cache import ContentCache, sim_cache
+    from repro.parallel.cache import SimCache, sim_cache
 
     if ledger.wl is None or ledger.hw is None:
         raise ValueError("ledger has no workload/hardware "
@@ -193,7 +192,7 @@ def replay_decisions(ledger, *, window_stripes: int | None = None,
     wl = ledger.wl.with_(
         data_bytes_per_thread=stripes * ledger.wl.stripe_data_bytes)
     hw = ledger.hw
-    store = cache if cache is not None else ContentCache()
+    store = SimCache()
     report = RegretReport(window_stripes=stripes)
     with use_tracer(NULL_TRACER), sim_cache(store):
         for index, rec in enumerate(ledger.records):

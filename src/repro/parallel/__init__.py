@@ -24,11 +24,9 @@ from repro.parallel.cache import (
     SimCache,
     canonical,
     fingerprint,
-    install_sim_cache,
     sim_cache,
     sim_key,
     trace_fingerprint,
-    uninstall_sim_cache,
 )
 from repro.parallel.sweep import (
     CellResult,
@@ -43,11 +41,9 @@ __all__ = [
     "SimCache",
     "canonical",
     "fingerprint",
-    "install_sim_cache",
     "sim_cache",
     "sim_key",
     "trace_fingerprint",
-    "uninstall_sim_cache",
     "SweepCell",
     "CellResult",
     "SweepSpec",

@@ -12,11 +12,11 @@ made it.
 
 Two layers use this module:
 
-* :func:`repro.simulate` — when a cache is installed (see
-  :func:`install_sim_cache` / :func:`sim_cache`) in the ``_SIM_CACHE``
-  seam of :mod:`repro.simulator.multicore`, repeated (trace, hardware)
-  simulations are served from memory; counterfactual replay
-  (:mod:`repro.obs.replay`) installs one;
+* :func:`repro.simulate` — a bounded :class:`SimCache`, installed at
+  import in the ``_SIM_CACHE`` seam of :mod:`repro.simulator.multicore`,
+  serves repeated (trace, hardware) simulations from memory;
+  :func:`sim_cache` swaps it for the scope of a ``with`` (counterfactual
+  replay, :mod:`repro.obs.replay`, uses a fresh one; timed code none);
 * :func:`repro.parallel.run_sweep` — whole sweep cells
   (library × workload × hardware × policy) memoize their results;
   ``python -m repro.bench sweep`` times a warm pass.
@@ -135,47 +135,51 @@ class ContentCache:
                 "entries": len(self._mem)}
 
 
-# -- the simulate() hook -------------------------------------------------
+# -- the simulate() memo ------------------------------------------------
+
+#: Entries a :class:`SimCache` holds; past it the oldest is dropped.
+#: The 24 figure and ablation ids, run in one process, leave 1,285
+#: entries (about 1.1 MB pickled), so every repeat in them is served.
+SIM_MEMO_SIZE = 2048
 
 
-class SimCache:
-    """Memoizes :func:`repro.simulate` through its ``_SIM_CACHE`` seam
-    (in :mod:`repro.simulator.multicore`)."""
+class SimCache(ContentCache):
+    """Bounded (traces, hardware) -> :class:`SimResult` memo behind
+    :func:`repro.simulate`'s ``_SIM_CACHE`` seam (in
+    :mod:`repro.simulator.multicore`). Holds at most
+    :data:`SIM_MEMO_SIZE` entries, evicting the oldest first."""
 
-    def __init__(self, store: ContentCache):
-        self.store = store
+    def put(self, key: str, value) -> None:
+        """Store ``value`` under ``key``, dropping the oldest entry if full."""
+        if key not in self._mem and len(self._mem) >= SIM_MEMO_SIZE:
+            del self._mem[next(iter(self._mem))]
+        super().put(key, value)
 
     def simulate(self, traces, hw, fastforward: bool = False):
+        """A cacheable :func:`repro.simulate` run: served from memory if
+        seen before, else simulated and remembered."""
         key = sim_key(traces, hw, fastforward=fastforward)
-        res = self.store.get(key)
+        res = self.get(key)
         if res is None:
             res = _multicore._simulate(traces, hw, contexts=None, drain=True,
                                        fastforward=fastforward)
-            self.store.put(key, res)
+            self.put(key, res)
         return res
 
 
-def install_sim_cache(store: ContentCache | None = None) -> ContentCache:
-    """Install a (trace, hardware) result cache behind
-    :func:`repro.simulate`; returns the backing store."""
-    # `store or ...` would discard a caller's *empty* cache: ContentCache
-    # defines __len__, so a fresh store is falsy.
-    store = store if store is not None else ContentCache()
-    _multicore._SIM_CACHE = SimCache(store)
-    return store
-
-
-def uninstall_sim_cache() -> None:
-    """Remove the simulate() cache (simulations run fresh again)."""
-    _multicore._SIM_CACHE = None
-
-
 @contextmanager
-def sim_cache(store: ContentCache | None = None):
-    """Scoped :func:`install_sim_cache`; yields the backing store."""
+def sim_cache(memo: SimCache | None):
+    """Serve :func:`repro.simulate` from ``memo`` for the scope; ``None``
+    turns memoization off (code that times ``simulate`` runs so).
+    Restores the previous memo, by default the process-wide one, on
+    exit; yields ``memo``."""
     previous = _multicore._SIM_CACHE
-    store = install_sim_cache(store)
+    _multicore._SIM_CACHE = memo
     try:
-        yield store
+        yield memo
     finally:
         _multicore._SIM_CACHE = previous
+
+
+# On by default: every cacheable simulation in the process shares it.
+_multicore._SIM_CACHE = SimCache()

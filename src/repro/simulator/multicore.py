@@ -27,9 +27,10 @@ from repro.simulator.memory import DRAMBackend, PMBackend
 from repro.simulator.params import HardwareConfig
 from repro.trace.ops import Trace
 
-#: Content-addressed (trace, hardware) -> SimResult cache, installed by
-#: :func:`repro.parallel.cache.install_sim_cache`. ``None`` disables
-#: memoization (the default).
+#: Content-addressed (trace, hardware) -> SimResult memo. Importing
+#: :mod:`repro` installs a bounded :class:`repro.parallel.cache.SimCache`
+#: here; :func:`repro.parallel.cache.sim_cache` swaps it for a scope
+#: (``None`` turns memoization off).
 _SIM_CACHE = None
 
 
@@ -98,9 +99,9 @@ def simulate(trace, hardware: HardwareConfig | None = None, *,
     """Simulate one or more traces against a hardware configuration.
 
     This is the one simulation entry point, and the seam where the
-    content-addressed result cache (:mod:`repro.parallel.cache`) hooks
-    in: when a cache is installed and the run is cacheable (fresh
-    contexts, full drain, tracing disabled), a repeated (trace,
+    content-addressed result memo (:mod:`repro.parallel.cache`) hooks
+    in: while the memo is on (the default) and the run is cacheable
+    (fresh contexts, full drain, tracing disabled), a repeated (trace,
     hardware) simulation is served from memory without re-executing —
     bit-identically, because simulation is a pure function of those
     inputs.

@@ -4,7 +4,8 @@ re-entry and the coordinator's decisions, end to end.
 RS(12,8) with 1 KiB blocks and 48 stripes per thread, the probe on, at
 4, 8 and 16 threads. The values were captured before the DIALGA ->
 coordinator -> simulator path was folded into one ``simulate`` and one
-decision record; any refactor of that path must reproduce them exactly.
+decision record; any refactor of that path must reproduce them exactly,
+with the simulation memo off and with it warm.
 The 8-thread run switches policy once (after its last chunk); the
 16-thread run starts on the high-pressure policy.
 """
@@ -15,7 +16,7 @@ import pytest
 
 from repro import DialgaEncoder, HardwareConfig, Workload
 from repro.obs import ledger_from_coordinator
-from repro.parallel import fingerprint
+from repro.parallel import SimCache, fingerprint, sim_cache
 
 LOW = "hw=on sw_d=24"
 HIGH = "hw=off(shuffle) sw_d=8 xpline"
@@ -35,15 +36,35 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("nthreads", sorted(GOLDEN))
-def test_adaptive_run_matches_golden(nthreads):
-    sim_fp, policies, switches, ledger_sha = GOLDEN[nthreads]
+def _workload(nthreads):
     wl = Workload(k=8, m=4, block_bytes=1024, nthreads=nthreads)
-    wl = wl.with_(data_bytes_per_thread=48 * wl.stripe_data_bytes)
+    return wl.with_(data_bytes_per_thread=48 * wl.stripe_data_bytes)
+
+
+def _check(nthreads):
+    """One adaptive run, compared with its golden values."""
+    sim_fp, policies, switches, ledger_sha = GOLDEN[nthreads]
     enc = DialgaEncoder(8, 4)
-    res = enc.run(wl, HardwareConfig())
+    res = enc.run(_workload(nthreads), HardwareConfig())
     ledger = ledger_from_coordinator(enc.last_coordinator)
     assert fingerprint(res.sim) == sim_fp
     assert [p.describe() for p in enc.policy_log] == policies
     assert enc.policy_switches == switches
     assert hashlib.sha256(ledger.to_jsonl().encode()).hexdigest() == ledger_sha
+
+
+@pytest.mark.parametrize("nthreads", sorted(GOLDEN))
+def test_adaptive_run_matches_golden(nthreads):
+    with sim_cache(None):
+        _check(nthreads)
+
+
+@pytest.mark.parametrize("nthreads", sorted(GOLDEN))
+def test_warm_memo_run_matches_golden(nthreads):
+    """Every probe and calibration run served from a memo that an
+    identical run filled: the same result, policies and decisions."""
+    with sim_cache(SimCache()) as memo:
+        DialgaEncoder(8, 4).run(_workload(nthreads), HardwareConfig())
+        misses = memo.misses
+        _check(nthreads)
+    assert memo.hits > 0 and memo.misses == misses

@@ -81,6 +81,16 @@ def test_systematic_vandermonde_mds(k, m):
         assert gf_rank(gf8, sub) == k
 
 
+@pytest.mark.parametrize("build", [systematic_vandermonde, systematic_cauchy])
+def test_systematic_generator_is_built_once_and_read_only(build):
+    G = build(gf8, 10, 4)
+    assert build(gf8, 10, 4) is G
+    assert build(gf8, 10, 3) is not G
+    assert build(gf16, 10, 4) is not G
+    with pytest.raises(ValueError):
+        G[0, 0] = 7
+
+
 def test_rs_parameter_bound():
     with pytest.raises(ValueError):
         systematic_vandermonde(gf8, 250, 10)

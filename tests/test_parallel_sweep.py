@@ -20,6 +20,7 @@ import pytest
 from repro.obs import Tracer, use_tracer
 from repro.parallel import (
     ContentCache,
+    SimCache,
     SweepSpec,
     canonical,
     fingerprint,
@@ -196,16 +197,69 @@ def test_sim_cache_serves_identical_results():
     lib = ISAL(wl.k, wl.m)
     hw = HardwareConfig().with_cpu(simd=wl.simd)
     trace = lib.trace(lib.effective_workload(wl), hw, 0)
-    fresh = simulate(trace, hw)
-    with sim_cache() as store:
+    from repro.simulator import multicore
+    default = multicore._SIM_CACHE
+    with sim_cache(None):
+        fresh = simulate(trace, hw)
+    with sim_cache(SimCache()) as store:
         first = simulate(trace, hw)
         again = simulate(trace, hw)
     assert first.makespan_ns == again.makespan_ns == fresh.makespan_ns
     assert first.counters.snapshot() == fresh.counters.snapshot()
     assert store.hits == 1 and store.misses == 1
-    # and the hook is gone afterwards
+    # and the scoped form restores the default memo afterwards
+    assert isinstance(default, SimCache)
+    assert multicore._SIM_CACHE is default
+
+
+def test_sim_memo_is_bounded_and_drops_its_oldest_entry_first():
+    from repro.parallel.cache import SIM_MEMO_SIZE
+    memo = SimCache()
+    for i in range(SIM_MEMO_SIZE):
+        memo.put(str(i), i)
+    memo.put("0", 0)  # overwriting a resident key evicts nothing
+    assert len(memo) == SIM_MEMO_SIZE and memo.get("0") == 0
+    memo.put("new", -1)
+    assert len(memo) == SIM_MEMO_SIZE
+    assert memo.get("0") is None
+    assert memo.get("1") == 1 and memo.get("new") == -1
+
+
+def test_timed_paths_never_read_the_memo(monkeypatch):
+    """The fast-forward scenario's interp/ff pair and the three passes
+    of the sweep benchmark are timed: with a memo already holding all
+    their simulations, they still make no memo hit, and every sweep
+    pass (the pool forks inside it) runs with the memo off."""
+    from repro.bench import sweep as bench_sweep
+    from repro.bench.fastforward_scenario import _encode_trace, _row
+    from repro.bench.report import FigureResult
     from repro.simulator import multicore
-    assert multicore._SIM_CACHE is None
+    hw = HardwareConfig()
+    trace = _encode_trace(hw.cpu, 8)
+    spec = SweepSpec(workloads=[WLS[0]], libraries=("ISA-L", "ISA-L-D"))
+    memo = SimCache()
+    with sim_cache(memo):
+        simulate(trace, hw, fastforward=False)
+        simulate(trace, hw, fastforward=True)
+        run_sweep(spec)
+    filled, hits = len(memo), memo.hits
+    assert filled > 2
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(multicore._SIM_CACHE)
+        return run_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(bench_sweep, "run_sweep", spy)
+    fig = FigureResult(fig_id="t", title="t",
+                       columns=["interp_s", "ff_s", "identical"])
+    with sim_cache(memo):
+        assert _row(fig, "row", trace, hw)["identical"]
+        report = bench_sweep.benchmark_sweep(spec, workers=2)
+    assert report["identical_serial_parallel"]
+    assert seen == [None, None, None]
+    assert memo.hits == hits and len(memo) == filled
 
 
 def test_sim_key_depends_on_hardware_and_batching():
