@@ -10,21 +10,25 @@ pays only the residual wait (or nothing, if it already arrived). This
 is exactly the latency-hiding mechanism whose failure modes the paper
 studies.
 
-:meth:`ThreadContext.run` is the one interpreter. The per-op semantics
-of the cache (:class:`~repro.simulator.cache.CoreCache`), the streamer
+:func:`interpret` is the one interpreter. The per-op semantics of the
+cache (:class:`~repro.simulator.cache.CoreCache`), the streamer
 (:class:`~repro.simulator.streamprefetcher.StreamPrefetcher`) and the
 store path (``write_line``) are inlined into one loop with hot state in
 locals; every line fill — demand, software prefetch, hardware
 prefetch — is one call into the load backend's ``fill_line``
 (:mod:`repro.simulator.memory`), the only implementation of the PM
-read buffer and the fill pipes. Single-thread runs call it once; the
-multicore scheduler (:mod:`repro.simulator.multicore`) calls it once
-per scheduling turn with a clock ``limit``; the fast-forward layer
-calls it period by period with an op bound ``until``.
+read buffer and the fill pipes. One call runs a list of thread
+contexts over their shared memory, switching threads inside the loop;
+the multicore scheduler (:mod:`repro.simulator.multicore`) makes one
+call per simulation. A single thread is its N=1 case:
+:meth:`ThreadContext.run` is one call on ``[self]``, and the
+fast-forward layer makes it period by period with an op bound
+``until``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from repro.simulator.cache import CoreCache, DEMAND, HWPF, SWPF as SWPF_SRC, _Line
@@ -68,109 +72,148 @@ class ThreadContext:
         """True when the whole trace has executed."""
         return self.pc >= len(self.trace.opcodes)
 
-    def run(self, until: int | None = None,
-            limit: float = math.inf) -> float:
-        """Execute the trace (to ``until``, if given); returns the clock.
+    def run(self, until: int | None = None) -> float:
+        """Execute the trace (to op index ``until``, if given); returns
+        the clock.
 
-        The core-side semantics (cache lookup and insertion, streamer
-        training, the store path) are inlined into one loop with their
-        hot state — core counters included — in locals. Line fills are
-        not: each is one call to the load backend's ``fill_line``,
-        which returns ``(wait, latency, demand_latency)`` and keeps its
-        own pipes, read buffer and counters. A demand miss stalls
-        ``wait + latency / mlp``; a prefetch arrives at ``issue + wait
-        + latency`` and can be promoted at ``demand_latency / mlp``.
-        ``tests/reference_interpreter.py`` spells the same semantics
-        out through the model methods and pins this loop to them, bit
-        for bit.
-
-        Two stop bounds, both composing bit-identically with one full
-        run because all hot state is written back at every return:
-
-        * ``until`` is an absolute op index bound (clamped to the trace
-          length): the fast-forward layer interprets period by period
-          through it;
-        * ``limit`` is a clock bound: an op is started only while the
-          clock is ``<= limit``. The multicore scheduler sets it to the
-          point where another thread becomes the earliest.
+        One :func:`interpret` call on this context alone. ``until`` is
+        clamped to the trace length; chunked calls compose
+        bit-identically with one full run, which is how the
+        fast-forward layer interprets period by period.
         """
-        n = len(self.trace.opcodes)
-        end = n if until is None else min(until, n)
-        if self.pc >= end:
-            return self.clock
-        load_backend = self.load_backend
-        store_backend = self.store_backend
-        opcodes = self.trace.opcodes
-        args = self.trace.args
-        i = self.pc
-        c = self.counters
+        interpret((self,), until)
+        return self.clock
 
-        # Core-side hot state.
-        lines = self.cache._lines
-        cache_get = lines.get
-        cache_mte = lines.move_to_end
-        cache_pop = lines.popitem
-        cache_cap = self.cache.capacity
-        ns_per_cycle = self._ns_per_cycle
-        simd_factor = self._simd_factor
-        hit_ns = self._hit_ns
-        load_issue_ns = self._load_issue_ns
-        store_issue_ns = self._store_issue_ns
-        swpf_issue_ns = self._swpf_issue_ns
-        wpq_ns = self._wpq_ns
 
-        # Streamer (per-core) hot state.
-        pf = self.prefetcher
-        pf_enabled = pf.enabled
-        pf_cfg = pf.config
-        pf_page_bytes = pf_cfg.page_bytes
-        pf_max_streams = pf_cfg.max_streams
-        pf_train = pf_cfg.train_threshold
-        pf_max_dist = pf_cfg.max_distance
-        pf_ramp = pf_cfg.ramp_div
-        pf_last_line = pf_page_bytes // 64 - 1
-        table = pf._table
-        table_get = table.get
-        table_mte = table.move_to_end
-        table_pop = table.popitem
+def interpret(contexts, until: int | None = None) -> None:
+    """Execute the contexts' traces (each to ``until``, if given),
+    interleaved over their shared memory.
 
-        # Line fills are one backend call each; the backend bumps its
-        # own traffic and read-buffer counters.
-        fill_line = load_backend.fill_line
-        mlp = load_backend.mlp
+    The thread with the smallest ``(clock, index)`` always runs next,
+    so cross-thread interactions through the shared backends happen in
+    causal order; a thread's turn lasts while it is still that minimum,
+    which gives it exactly the ops an op-at-a-time scheduler would.
 
-        # Store-side backend hot state (write path is identical for PM
-        # and DRAM: a bandwidth pipe plus byte accounting).
-        write_pipe = store_backend.write_pipe
-        write_step = 64 * write_pipe.ns_per_byte
+    The core-side semantics (cache lookup and insertion, streamer
+    training, the store path) are inlined into one loop with their
+    hot state — counters included — in locals. Line fills are not:
+    each is one call to the load backend's ``fill_line``, which
+    returns ``(wait, latency, demand_latency)`` and keeps its own
+    pipes, read buffer and counters. A demand miss stalls ``wait +
+    latency / mlp``; a prefetch arrives at ``issue + wait + latency``
+    and can be promoted at ``demand_latency / mlp``.
+    ``tests/reference_interpreter.py`` spells the same semantics out
+    one op at a time through the model methods and pins this loop to
+    them, bit for bit.
 
-        # Counter fields hoisted into locals — slot access still pays
-        # an attribute lookup per bump that a local avoids. All are
-        # written back in the ``finally`` below, so chunked calls (the
-        # fast-forward layer runs period-by-period via ``until``) see
-        # consistent state at every boundary. Same adds in the same
-        # order: bit-identical to bumping the attributes directly.
-        c_loads = c.loads
-        c_load_cache_hits = c.load_cache_hits
-        c_load_late_prefetch = c.load_late_prefetch
-        c_load_misses = c.load_misses
-        c_stores = c.stores
-        c_load_stall_ns = c.load_stall_ns
-        c_store_stall_ns = c.store_stall_ns
-        c_compute_ns = c.compute_ns
-        c_hwpf_issued = c.hwpf_issued
-        c_hwpf_useful = c.hwpf_useful
-        c_hwpf_useless = c.hwpf_useless
-        c_streams_allocated = c.streams_allocated
-        c_streams_evicted_untrained = c.streams_evicted_untrained
-        c_swpf_issued = c.swpf_issued
-        c_swpf_late = c.swpf_late
-        c_swpf_useless = c.swpf_useless
-        c_app_read_bytes = c.app_read_bytes
-        c_write_bytes = c.write_bytes
+    The contexts must share one ``Counters``, one load/store backend
+    pair and one ``HardwareConfig`` (one
+    :func:`~repro.simulator.multicore.make_contexts` call): those are
+    taken from ``contexts[0]`` and stay in locals for the whole call.
+    A thread switch saves ``pc`` and ``clock`` to the context left and
+    loads the next one's cache and streamer tables and trace columns.
+    Every context's ``pc``/``clock`` and the counters are written back
+    before returning, also when an op raises.
+    """
+    ctx = contexts[0]
+    c = ctx.counters
+    load_backend = ctx.load_backend
+    store_backend = ctx.store_backend
 
-        clock = self.clock
-        try:
+    # Per-thread state, loaded on every switch.
+    states = []
+    heap: list[tuple[float, int]] = []
+    for k, t in enumerate(contexts):
+        n = len(t.trace.opcodes)
+        t_end = n if until is None else min(until, n)
+        lines = t.cache._lines
+        table = t.prefetcher._table
+        states.append((lines, lines.get, lines.move_to_end, lines.popitem,
+                       table, table.get, table.move_to_end, table.popitem,
+                       t.trace.opcodes, t.trace.args, t_end))
+        if t.pc < t_end:
+            heap.append((t.clock, k))
+    if not heap:
+        return
+    heapq.heapify(heap)
+    heappop = heapq.heappop
+    heappushpop = heapq.heappushpop
+    nextafter = math.nextafter
+    inf = math.inf
+
+    # Hardware constants (shared by every context).
+    cache_cap = ctx.cache.capacity
+    ns_per_cycle = ctx._ns_per_cycle
+    simd_factor = ctx._simd_factor
+    hit_ns = ctx._hit_ns
+    load_issue_ns = ctx._load_issue_ns
+    store_issue_ns = ctx._store_issue_ns
+    swpf_issue_ns = ctx._swpf_issue_ns
+    wpq_ns = ctx._wpq_ns
+    pf = ctx.prefetcher
+    pf_enabled = pf.enabled
+    pf_cfg = pf.config
+    pf_page_bytes = pf_cfg.page_bytes
+    pf_max_streams = pf_cfg.max_streams
+    pf_train = pf_cfg.train_threshold
+    pf_max_dist = pf_cfg.max_distance
+    pf_ramp = pf_cfg.ramp_div
+    pf_last_line = pf_page_bytes // 64 - 1
+
+    # Line fills are one backend call each; the backend bumps its
+    # own traffic and read-buffer counters.
+    fill_line = load_backend.fill_line
+    mlp = load_backend.mlp
+
+    # Store-side backend hot state (write path is identical for PM
+    # and DRAM: a bandwidth pipe plus byte accounting).
+    write_pipe = store_backend.write_pipe
+    write_step = 64 * write_pipe.ns_per_byte
+
+    # Counter fields hoisted into locals — slot access still pays
+    # an attribute lookup per bump that a local avoids. All are
+    # written back in the ``finally`` below, so chunked calls (the
+    # fast-forward layer runs period-by-period via ``until``) see
+    # consistent state at every boundary. Same adds in the same
+    # order: bit-identical to bumping the attributes directly.
+    c_loads = c.loads
+    c_load_cache_hits = c.load_cache_hits
+    c_load_late_prefetch = c.load_late_prefetch
+    c_load_misses = c.load_misses
+    c_stores = c.stores
+    c_load_stall_ns = c.load_stall_ns
+    c_store_stall_ns = c.store_stall_ns
+    c_compute_ns = c.compute_ns
+    c_hwpf_issued = c.hwpf_issued
+    c_hwpf_useful = c.hwpf_useful
+    c_hwpf_useless = c.hwpf_useless
+    c_streams_allocated = c.streams_allocated
+    c_streams_evicted_untrained = c.streams_evicted_untrained
+    c_swpf_issued = c.swpf_issued
+    c_swpf_late = c.swpf_late
+    c_swpf_useless = c.swpf_useless
+    c_app_read_bytes = c.app_read_bytes
+    c_write_bytes = c.write_bytes
+
+    _, k = heappop(heap)
+    ctx = contexts[k]
+    (lines, cache_get, cache_mte, cache_pop, table, table_get, table_mte,
+     table_pop, opcodes, args, end) = states[k]
+    i = ctx.pc
+    clock = ctx.clock
+    try:
+        while True:
+            # Global time must stay monotonic across threads: a thread
+            # running ahead would charge phantom queue delays on the
+            # busy-until bandwidth pipes to the threads behind it. So
+            # a turn lasts while the thread is still the heap minimum:
+            # clock <= the next clock when it wins the index
+            # tie-break, strictly below it otherwise.
+            if heap:
+                oc, oi = heap[0]
+                limit = oc if k < oi else nextafter(oc, -inf)
+            else:
+                limit = inf
             while i < end and clock <= limit:
                 op = opcodes[i]
                 arg = args[i]
@@ -341,26 +384,40 @@ class ThreadContext:
                                 elif ev.source == SWPF_SRC:
                                     c_swpf_useless += 1
                         lines[tgt] = _Line(arrival, HWPF, False, promo)
-        finally:
-            self.pc = i
-            self.clock = clock
-            c.loads = c_loads
-            c.load_cache_hits = c_load_cache_hits
-            c.load_late_prefetch = c_load_late_prefetch
-            c.load_misses = c_load_misses
-            c.stores = c_stores
-            c.load_stall_ns = c_load_stall_ns
-            c.store_stall_ns = c_store_stall_ns
-            c.compute_ns = c_compute_ns
-            c.hwpf_issued = c_hwpf_issued
-            c.hwpf_useful = c_hwpf_useful
-            c.hwpf_useless = c_hwpf_useless
-            c.streams_allocated = c_streams_allocated
-            c.streams_evicted_untrained = c_streams_evicted_untrained
-            c.swpf_issued = c_swpf_issued
-            c.swpf_late = c_swpf_late
-            c.swpf_useless = c_swpf_useless
-            c.app_read_bytes = c_app_read_bytes
-            c.write_bytes = c_write_bytes
-        return clock
 
+            ctx.pc = i
+            ctx.clock = clock
+            if i < end:
+                # The turn ended because another thread became the
+                # minimum, so the push cannot come straight back out.
+                _, k = heappushpop(heap, (clock, k))
+            elif heap:
+                _, k = heappop(heap)
+            else:
+                return
+            ctx = contexts[k]
+            (lines, cache_get, cache_mte, cache_pop, table, table_get,
+             table_mte, table_pop, opcodes, args, end) = states[k]
+            i = ctx.pc
+            clock = ctx.clock
+    finally:
+        ctx.pc = i
+        ctx.clock = clock
+        c.loads = c_loads
+        c.load_cache_hits = c_load_cache_hits
+        c.load_late_prefetch = c_load_late_prefetch
+        c.load_misses = c_load_misses
+        c.stores = c_stores
+        c.load_stall_ns = c_load_stall_ns
+        c.store_stall_ns = c_store_stall_ns
+        c.compute_ns = c_compute_ns
+        c.hwpf_issued = c_hwpf_issued
+        c.hwpf_useful = c_hwpf_useful
+        c.hwpf_useless = c_hwpf_useless
+        c.streams_allocated = c_streams_allocated
+        c.streams_evicted_untrained = c_streams_evicted_untrained
+        c.swpf_issued = c_swpf_issued
+        c.swpf_late = c_swpf_late
+        c.swpf_useless = c_swpf_useless
+        c.app_read_bytes = c_app_read_bytes
+        c.write_bytes = c_write_bytes

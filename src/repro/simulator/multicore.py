@@ -3,26 +3,23 @@ interleaved over shared PM.
 
 Threads run on private cores (own cache + streamer) but share the
 memory backends — bandwidth pipes and, crucially, the PM read buffer.
-The scheduler always advances the thread with the smallest
-``(clock, index)`` (a conservative event ordering), so cross-thread
-interactions through the shared state happen in causal order. Each
-turn is one call of the engine's interpreter, :meth:`ThreadContext.run
-<repro.simulator.engine.ThreadContext.run>`, bounded by the clock at
-which another thread becomes the earliest: the thread runs exactly the
-ops an op-at-a-time scheduler would have given it before switching.
-This is where Obs. 5's read-buffer thrashing and the scalability
-plateaus of Fig. 7/13 come from.
+The engine's interpreter, :func:`~repro.simulator.engine.interpret`,
+runs all of a simulation's threads in one call: it always advances the
+thread with the smallest ``(clock, index)`` (a conservative event
+ordering), so cross-thread interactions through the shared state
+happen in causal order, and it switches threads inside its loop, at
+the clock where another thread becomes the earliest. This is where
+Obs. 5's read-buffer thrashing and the scalability plateaus of
+Fig. 7/13 come from.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
 
 from repro.obs import get_tracer
 from repro.simulator.counters import Counters
-from repro.simulator.engine import ThreadContext
+from repro.simulator.engine import ThreadContext, interpret
 from repro.simulator.memory import DRAMBackend, PMBackend
 from repro.simulator.params import HardwareConfig
 from repro.trace.ops import Trace
@@ -161,6 +158,8 @@ def _simulate(traces: list[Trace], hw: HardwareConfig,
     """:func:`simulate`'s uncached body (the cache calls it on a miss)."""
     if contexts is None:
         contexts = make_contexts(hw, traces)
+    else:
+        _check_shared(contexts)
     counters = contexts[0].counters
     tracer = get_tracer()
     if not tracer.enabled:
@@ -177,39 +176,37 @@ def _simulate(traces: list[Trace], hw: HardwareConfig,
     return result
 
 
+def _check_shared(contexts: list[ThreadContext]) -> None:
+    """Raise ValueError unless the contexts share one ``Counters``, one
+    load/store backend pair and one ``HardwareConfig``, as one
+    :func:`make_contexts` call builds them: the interpreter takes all
+    of those from ``contexts[0]``."""
+    first = contexts[0]
+    for ctx in contexts[1:]:
+        if (ctx.counters is not first.counters
+                or ctx.load_backend is not first.load_backend
+                or ctx.store_backend is not first.store_backend
+                or ctx.hw != first.hw):
+            raise ValueError(
+                "contexts must share one Counters, one load/store backend "
+                "pair and one HardwareConfig (build them with one "
+                "make_contexts call)")
+
+
 def _run(contexts: list[ThreadContext], counters: Counters,
          drain: bool, fastforward: bool) -> SimResult:
-    """The scheduling loop proper (tracing handled by the caller)."""
+    """Run the contexts to the end of their traces (tracing handled by
+    the caller)."""
     ff_stats = None
-    heap: list[tuple[float, int]] = [
-        (ctx.clock, i) for i, ctx in enumerate(contexts) if not ctx.done
-    ]
-    if len(heap) == 1:
+    live = [ctx for ctx in contexts if not ctx.done]
+    if fastforward and len(live) == 1:
         # One live thread: no cross-thread interleaving to arbitrate,
-        # so run the trace out in one call, optionally skipping
-        # steady-state stripe periods by exact extrapolation.
-        if fastforward:
-            from repro.simulator.fastforward import run_fastforward
-            ff_stats = run_fastforward(contexts[heap[0][1]])
-        else:
-            contexts[heap[0][1]].run()
-        heap = []
-    heapq.heapify(heap)
-    # Global time must stay monotonic across threads: a thread running
-    # ahead would charge phantom queue delays on the busy-until
-    # bandwidth pipes to the threads behind it. So a turn lasts while
-    # the thread is still the heap minimum: clock <= the next clock
-    # when it wins the index tie-break, strictly below it otherwise.
-    while heap:
-        _, idx = heapq.heappop(heap)
-        ctx = contexts[idx]
-        if heap:
-            oc, oi = heap[0]
-            ctx.run(limit=oc if idx < oi else math.nextafter(oc, -math.inf))
-        else:
-            ctx.run()
-        if not ctx.done:
-            heapq.heappush(heap, (ctx.clock, idx))
+        # so steady-state stripe periods can be skipped by exact
+        # extrapolation.
+        from repro.simulator.fastforward import run_fastforward
+        ff_stats = run_fastforward(live[0])
+    else:
+        interpret(contexts)
     if drain:
         for ctx in contexts:
             ctx.cache.drain()

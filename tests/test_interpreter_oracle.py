@@ -1,14 +1,17 @@
 """The interpreter against its reference: exact equality, not approx.
 
-``ThreadContext.run()`` is the simulator's only interpreter: single-
-thread runs call it once, the multicore scheduler once per turn with a
-clock limit. ``tests/reference_interpreter.py`` states the same
-semantics one op at a time through the model methods. Every makespan,
-thread time and counter must match it bit for bit, on random traces
-over all five opcodes, 1-4 threads, PM and DRAM, prefetcher on and off
-— including the equal-clock ties the scheduler breaks by thread index.
+``repro.simulator.engine.interpret`` is the simulator's only
+interpreter: one call runs all of a simulation's threads, switching
+between them inside its loop, and a single-thread run is its N=1 case.
+``tests/reference_interpreter.py`` states the same semantics one op at
+a time through the model methods. Every makespan, thread time and
+counter must match it bit for bit, on random traces over all five
+opcodes, 1-4 threads, PM and DRAM, prefetcher on and off — including
+the equal-clock ties the scheduler breaks by thread index — and on
+fixed traces at the 8 and 16 threads of the scaling figures.
 """
 
+import random
 from dataclasses import asdict
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro import simulate
 from repro.simulator import Counters, HardwareConfig
 from repro.simulator.engine import ThreadContext
-from repro.simulator.multicore import make_backends
+from repro.simulator.multicore import make_backends, make_contexts
 from repro.simulator.params import CacheConfig
 from repro.trace.ops import COMPUTE, FENCE, LOAD, STORE, SWPF, Trace
 
@@ -154,3 +157,99 @@ def test_unknown_opcode_in_multithread_run_stops_at_bad_op():
     assert [ctx.pc for ctx in live] == [ctx.pc for ctx in ref]
     assert [ctx.clock for ctx in live] == [ctx.clock for ctx in ref]
     assert asdict(live[0].counters) == asdict(ref[0].counters)
+
+
+# ------------------------------------------------ 8 and 16 threads
+
+def _fixed_ops(seed: int, n: int) -> list:
+    """``n`` seeded ops over all five opcodes, with ascending LOAD/SWPF
+    runs that train the streamer."""
+    rng = random.Random(seed)
+    ops = []
+    while len(ops) < n:
+        r = rng.random()
+        line = rng.randrange(SPAN_LINES)
+        if r < 0.35:
+            kind = rng.choice([LOAD, LOAD, SWPF])
+            ops += [(kind, ((line + j) % SPAN_LINES) * 64)
+                    for j in range(rng.randint(4, 24))]
+        elif r < 0.55:
+            ops.append((LOAD, line * 64))
+        elif r < 0.7:
+            ops.append((STORE, line * 64))
+        elif r < 0.8:
+            ops.append((SWPF, line * 64))
+        elif r < 0.93:
+            ops.append((COMPUTE, rng.choice([0.0, 1.0, 33.0, 1000.0])))
+        else:
+            ops.append((FENCE, 0.0))
+    return ops[:n]
+
+
+_MANY_HW = [_hw(), _hw(tiny=True), _hw(load_source="dram"),
+            _hw(prefetch=False, tiny=True)]
+
+
+@pytest.mark.parametrize("threads", [8, 16])
+def test_many_threads_identical_traces(threads):
+    """Identical traces: every thread starts at clock 0, so each
+    scheduling decision is a clock tie broken by thread index."""
+    per_thread = [_fixed_ops(threads, 160)] * threads
+    for hw in _MANY_HW:
+        res = simulate(_traces(per_thread), hw)
+        assert_identical(res, reference_simulate(_traces(per_thread), hw))
+        assert len(set(res.thread_times_ns)) > 1
+
+
+@pytest.mark.parametrize("threads", [8, 16])
+def test_many_threads_uneven_lengths(threads):
+    """Threads finish one by one mid-run (one has nothing to do), and
+    the longest runs its tail alone, with no other thread to bound it."""
+    per_thread = [_fixed_ops(100 + t, 12 * t) for t in range(threads - 1)]
+    per_thread.append(_fixed_ops(99, 12 * threads + 200))
+    for hw in _MANY_HW:
+        res = simulate(_traces(per_thread), hw)
+        assert_identical(res, reference_simulate(_traces(per_thread), hw))
+
+
+@pytest.mark.parametrize("threads", [8, 16])
+def test_many_threads_chunked_reentry(threads):
+    """Chunk-by-chunk re-entry with ``drain=False`` between chunks, as
+    the DIALGA adaptation loop runs it: half the threads share one
+    trace (ties), the rest are independent and of uneven length."""
+    same = _fixed_ops(threads, 120)
+    per_thread = ([same] * (threads // 2)
+                  + [_fixed_ops(200 + t, 60 + 20 * t)
+                     for t in range(threads - threads // 2)])
+    chunks = 3
+    for hw in _MANY_HW:
+        live, ref = _contexts(hw, threads), _contexts(hw, threads)
+        for c in range(chunks):
+            chunk = [ops[c * len(ops) // chunks:
+                         (c + 1) * len(ops) // chunks]
+                     for ops in per_thread]
+            last = c == chunks - 1
+            for ctxs in (live, ref):
+                for ctx, trace in zip(ctxs, _traces(chunk)):
+                    ctx.trace.extend(trace)
+            res = simulate([], hw, contexts=live, drain=last)
+            assert_identical(res, reference_simulate(
+                [], hw, contexts=ref, drain=last))
+
+
+def test_contexts_from_two_builds_are_rejected():
+    """The interpreter takes the counters, backends and hardware from
+    the first context, so contexts that do not share them are an
+    error, not a silently wrong result."""
+    hw = HardwareConfig()
+    traces = _traces([_fixed_ops(1, 50)] * 2)
+    a, b = make_contexts(hw, traces), make_contexts(hw, traces)
+    with pytest.raises(ValueError, match="make_contexts"):
+        simulate([], hw, contexts=[a[0], b[1]])
+    other = make_contexts(_hw(tiny=True), traces)
+    other[1].counters = a[0].counters
+    other[1].load_backend = a[0].load_backend
+    other[1].store_backend = a[0].store_backend
+    with pytest.raises(ValueError, match="make_contexts"):
+        simulate([], hw, contexts=[a[0], other[1]])
+    assert [ctx.pc for ctx in a + b + other] == [0] * 6

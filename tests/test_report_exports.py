@@ -1,17 +1,25 @@
 """Tests for FigureResult JSON/CSV exports, the CLI --json path and
 the tracked ``benchmarks/results/`` they persist."""
 
+import importlib.util
 import json
 import pathlib
 import runpy
+
+import pytest
 
 from repro.bench.ablations import ALL_ABLATIONS
 from repro.bench.cli import main as cli_main
 from repro.bench.figures import ALL_FIGURES
 from repro.bench.report import FigureResult
+from repro.parallel import SimCache, sim_cache
 
 ROOT = pathlib.Path(__file__).parent.parent
 RESULTS = ROOT / "benchmarks" / "results"
+_spec = importlib.util.spec_from_file_location(
+    "check_rerun", ROOT / "scripts" / "check_rerun.py")
+check_rerun = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_rerun)
 
 
 def _fig():
@@ -71,3 +79,16 @@ def test_tracked_json_rerenders_to_tracked_txt():
 def test_experiments_md_renders_from_tracked_json():
     script = runpy.run_path(str(ROOT / "scripts" / "make_experiments_md.py"))
     assert script["render"]() == (ROOT / "EXPERIMENTS.md").read_text()
+
+
+@pytest.mark.parametrize("fig_id", ["fig07", "ablation_read_buffer"])
+def test_multithread_figures_resimulate_to_tracked_json(fig_id):
+    """Fig. 7 and the read-buffer ablation, re-simulated at full volume
+    through the multicore interpreter, equal the tracked JSON minus its
+    host columns. A fresh memo keeps earlier tests' runs from serving
+    them."""
+    with sim_cache(SimCache()):
+        result = {**ALL_FIGURES, **ALL_ABLATIONS}[fig_id]()
+    tracked = json.loads((RESULTS / f"{fig_id}.json").read_text())
+    assert check_rerun.compare({fig_id: result.to_dict()},
+                               {fig_id: tracked}) == []
