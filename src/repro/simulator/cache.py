@@ -8,6 +8,14 @@ hierarchy as one LRU presence map with the L2's capacity, tracking for
 each resident line its fill-completion time and whether it arrived via
 hardware prefetch, software prefetch or demand.
 
+A resident line is a plain list ``[arrival_ns, source, used,
+promo_ns]``, indexed by :data:`ARRIVAL`, :data:`SOURCE`, :data:`USED`
+and :data:`PROMO`: building a list literal costs the interpreter's
+hot loop no Python-level call, which an object's ``__init__`` would.
+``promo_ns`` is what a demand-priority fill of the line would have
+cost; it bounds the residual wait when a demand promotes a late
+prefetch.
+
 Useless-prefetch accounting (the PMU 0xf2 analogue) covers all three
 ways a prefetch can be wasted: evicted before use, never demanded
 (block-end overshoot), or arriving after the demand already paid the
@@ -17,22 +25,15 @@ memory latency ("late", counted when the line is claimed).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.simulator.counters import Counters
 
 #: Line provenance markers.
 DEMAND, HWPF, SWPF = 0, 1, 2
 
-
-@dataclass(slots=True)
-class _Line:
-    arrival_ns: float
-    source: int
-    used: bool
-    #: What a demand-priority fill of this line would have cost (ns);
-    #: bounds the residual wait when a demand promotes a late prefetch.
-    promo_ns: float = 0.0
+#: Field indices of a resident line ``[arrival_ns, source, used,
+#: promo_ns]``.
+ARRIVAL, SOURCE, USED, PROMO = 0, 1, 2, 3
 
 
 class CoreCache:
@@ -43,7 +44,7 @@ class CoreCache:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity_lines
         self.counters = counters
-        self._lines: OrderedDict[int, _Line] = OrderedDict()
+        self._lines: OrderedDict[int, list] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -51,8 +52,9 @@ class CoreCache:
     def __contains__(self, line_addr: int) -> bool:
         return line_addr in self._lines
 
-    def lookup(self, line_addr: int) -> _Line | None:
-        """Return the resident entry (refreshing LRU) or None."""
+    def lookup(self, line_addr: int) -> list | None:
+        """Return the resident line (refreshing LRU) or None; the list
+        is the live entry, so writes to it change the cache."""
         ent = self._lines.get(line_addr)
         if ent is not None:
             self._lines.move_to_end(line_addr)
@@ -64,30 +66,30 @@ class CoreCache:
         if line_addr in self._lines:
             ent = self._lines[line_addr]
             # Keep the earlier arrival; refresh LRU position.
-            ent.arrival_ns = min(ent.arrival_ns, arrival_ns)
-            ent.promo_ns = min(ent.promo_ns, promo_ns) if ent.promo_ns else promo_ns
+            ent[ARRIVAL] = min(ent[ARRIVAL], arrival_ns)
+            ent[PROMO] = min(ent[PROMO], promo_ns) if ent[PROMO] else promo_ns
             self._lines.move_to_end(line_addr)
             return
         if len(self._lines) >= self.capacity:
             _, evicted = self._lines.popitem(last=False)
             self._account_eviction(evicted)
-        self._lines[line_addr] = _Line(arrival_ns, source, used, promo_ns)
+        self._lines[line_addr] = [arrival_ns, source, used, promo_ns]
 
-    def _account_eviction(self, ent: _Line) -> None:
-        if not ent.used:
-            if ent.source == HWPF:
+    def _account_eviction(self, ent: list) -> None:
+        if not ent[USED]:
+            if ent[SOURCE] == HWPF:
                 self.counters.hwpf_useless += 1
-            elif ent.source == SWPF:
+            elif ent[SOURCE] == SWPF:
                 self.counters.swpf_useless += 1
 
     def drain(self) -> None:
         """End-of-run flush: account never-used prefetches as useless."""
         hwpf = swpf = 0
         for ent in self._lines.values():
-            if not ent.used:
-                if ent.source == HWPF:
+            if not ent[USED]:
+                if ent[SOURCE] == HWPF:
                     hwpf += 1
-                elif ent.source == SWPF:
+                elif ent[SOURCE] == SWPF:
                     swpf += 1
         self.counters.hwpf_useless += hwpf
         self.counters.swpf_useless += swpf
@@ -108,8 +110,8 @@ class CoreCache:
         convergence forever). Returns ``(digest, max_live_offset_ns)``.
         """
         out = [
-            (addr - addr_shift, ent.source, ent.used, ent.promo_ns,
-             ent.arrival_ns - now_ns if ent.arrival_ns > now_ns else None)
+            (addr - addr_shift, ent[SOURCE], ent[USED], ent[PROMO],
+             ent[ARRIVAL] - now_ns if ent[ARRIVAL] > now_ns else None)
             for addr, ent in self._lines.items()
         ]
         max_live = max((t[4] for t in out if t[4] is not None), default=0.0)
@@ -123,9 +125,9 @@ class CoreCache:
         the pre-jump clock ``now_ns``) shift by ``time_shift``; settled
         arrivals keep their (dead) values. LRU order is preserved.
         """
-        shifted: OrderedDict[int, _Line] = OrderedDict()
+        shifted: OrderedDict[int, list] = OrderedDict()
         for addr, ent in self._lines.items():
-            if ent.arrival_ns > now_ns:
-                ent.arrival_ns += time_shift
+            if ent[ARRIVAL] > now_ns:
+                ent[ARRIVAL] += time_shift
             shifted[addr + addr_shift] = ent
         self._lines = shifted

@@ -14,13 +14,14 @@ studies.
 cache (:class:`~repro.simulator.cache.CoreCache`), the streamer
 (:class:`~repro.simulator.streamprefetcher.StreamPrefetcher`) and the
 store path (``write_line``) are inlined into one loop with hot state in
-locals; every line fill — demand, software prefetch, hardware
-prefetch — is one call into the load backend's ``fill_line``
-(:mod:`repro.simulator.memory`), the only implementation of the PM
-read buffer and the fill pipes. One call runs a list of thread
-contexts over their shared memory, switching threads inside the loop;
-the multicore scheduler (:mod:`repro.simulator.multicore`) makes one
-call per simulation. A single thread is its N=1 case:
+locals. Cache lines and streams are plain lists, so an insert builds a
+list literal and calls no constructor. Every line fill — demand,
+software prefetch, hardware prefetch — is one call into the load
+backend's ``fill_line`` (:mod:`repro.simulator.memory`), the only
+implementation of the PM read buffer and the fill pipes. One call
+runs a list of thread contexts over their shared memory, switching
+threads inside the loop; the multicore scheduler
+(:mod:`repro.simulator.multicore`) makes one call per simulation. A single thread is its N=1 case:
 :meth:`ThreadContext.run` is one call on ``[self]``, and the
 fast-forward layer makes it period by period with an op bound
 ``until``.
@@ -31,10 +32,10 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.simulator.cache import CoreCache, DEMAND, HWPF, SWPF as SWPF_SRC, _Line
+from repro.simulator.cache import CoreCache, DEMAND, HWPF, SWPF as SWPF_SRC
 from repro.simulator.counters import Counters
 from repro.simulator.params import HardwareConfig
-from repro.simulator.streamprefetcher import StreamPrefetcher, _Stream
+from repro.simulator.streamprefetcher import StreamPrefetcher
 from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace
 
 
@@ -96,8 +97,13 @@ def interpret(contexts, until: int | None = None) -> None:
 
     The core-side semantics (cache lookup and insertion, streamer
     training, the store path) are inlined into one loop with their
-    hot state — counters included — in locals. Line fills are not:
-    each is one call to the load backend's ``fill_line``, which
+    hot state — counters included — in locals. Cache lines and
+    streams are the models' plain lists, indexed here by the literals
+    behind their named indices: a line is ``[arrival_ns, source,
+    used, promo_ns]`` (``cache.ARRIVAL..PROMO`` = 0..3), a stream
+    ``[last_line, confidence, max_prefetched]``
+    (``streamprefetcher.LAST..MAXPF`` = 0..2). Line fills are not
+    inlined: each is one call to the load backend's ``fill_line``, which
     returns ``(wait, latency, demand_latency)`` and keeps its own
     pipes, read buffer and counters. A demand miss stalls ``wait +
     latency / mlp``; a prefetch arrives at ``issue + wait + latency``
@@ -113,7 +119,9 @@ def interpret(contexts, until: int | None = None) -> None:
     A thread switch saves ``pc`` and ``clock`` to the context left and
     loads the next one's cache and streamer tables and trace columns.
     Every context's ``pc``/``clock`` and the counters are written back
-    before returning, also when an op raises.
+    before returning, also when an op raises. A turn that ends with
+    its thread handed straight back ran no op, and the scheduler
+    would spin on it: that raises ``RuntimeError``.
     """
     ctx = contexts[0]
     c = ctx.counters
@@ -226,22 +234,27 @@ def interpret(contexts, until: int | None = None) -> None:
                     ent = cache_get(line)
                     if ent is not None:
                         cache_mte(line)
-                        ent.used = True
-                        if ent.arrival_ns <= now:
+                        ent[2] = True
+                        arrival = ent[0]
+                        if arrival <= now:
                             c_load_cache_hits += 1
-                            if ent.source == HWPF:
+                            if ent[1] == HWPF:
                                 c_hwpf_useful += 1
                             now += hit_ns
                         else:
                             # In-flight prefetch: the demand promotes it,
                             # so the wait is the smaller of its remaining
                             # time and a demand-priority fill's cost.
-                            wait = min(ent.arrival_ns - now, ent.promo_ns)
+                            wait = arrival - now
+                            promo = ent[3]
+                            if promo < wait:
+                                wait = promo
                             c_load_late_prefetch += 1
                             c_load_stall_ns += wait
-                            if ent.source == SWPF_SRC:
+                            src = ent[1]
+                            if src == SWPF_SRC:
                                 c_swpf_late += 1
-                            elif ent.source == HWPF:
+                            elif src == HWPF:
                                 c_hwpf_useless += 1
                             now += wait + hit_ns
                     else:
@@ -254,12 +267,13 @@ def interpret(contexts, until: int | None = None) -> None:
                         # None).
                         if len(lines) >= cache_cap:
                             _, ev = cache_pop(last=False)
-                            if not ev.used:
-                                if ev.source == HWPF:
+                            if not ev[2]:
+                                src = ev[1]
+                                if src == HWPF:
                                     c_hwpf_useless += 1
-                                elif ev.source == SWPF_SRC:
+                                elif src == SWPF_SRC:
                                     c_swpf_useless += 1
-                        lines[line] = _Line(now, DEMAND, True, 0.0)
+                        lines[line] = [now, DEMAND, True, 0.0]
                     clock = now
                     if not pf_enabled:
                         continue
@@ -297,12 +311,13 @@ def interpret(contexts, until: int | None = None) -> None:
                         promo = dlat / mlp
                         if len(lines) >= cache_cap:
                             _, ev = cache_pop(last=False)
-                            if not ev.used:
-                                if ev.source == HWPF:
+                            if not ev[2]:
+                                src = ev[1]
+                                if src == HWPF:
                                     c_hwpf_useless += 1
-                                elif ev.source == SWPF_SRC:
+                                elif src == SWPF_SRC:
                                     c_swpf_useless += 1
-                        lines[line] = _Line(arrival, SWPF_SRC, False, promo)
+                        lines[line] = [arrival, SWPF_SRC, False, promo]
                     else:
                         cache_mte(line)
                     clock = now
@@ -328,24 +343,24 @@ def interpret(contexts, until: int | None = None) -> None:
                 if stream is None:
                     if len(table) >= pf_max_streams:
                         _, evicted = table_pop(last=False)
-                        if evicted.confidence < pf_train:
+                        if evicted[1] < pf_train:
                             c_streams_evicted_untrained += 1
-                    table[page] = _Stream(pline, 0, pline)
+                    table[page] = [pline, 0, pline]
                     c_streams_allocated += 1
                     continue
                 table_mte(page)
-                last = stream.last_line
+                last = stream[0]
                 if pline == last + 1 or pline == last + 2:
-                    stream.confidence += 1
-                    stream.last_line = pline
+                    conf = stream[1] + 1
+                    stream[1] = conf
+                    stream[0] = pline
                 elif pline <= last:
-                    pass
+                    conf = stream[1]
                 else:
-                    conf = stream.confidence - 2
-                    stream.confidence = conf if conf > 0 else 0
-                    stream.last_line = pline
+                    conf = stream[1] - 2
+                    stream[1] = conf if conf > 0 else 0
+                    stream[0] = pline
                     continue
-                conf = stream.confidence
                 if conf < pf_train:
                     continue
                 distance = (conf - pf_train) // pf_ramp + 1
@@ -354,12 +369,12 @@ def interpret(contexts, until: int | None = None) -> None:
                 target = pline + distance
                 if target > pf_last_line:
                     target = pf_last_line
-                first = stream.max_prefetched + 1
+                first = stream[2] + 1
                 if first <= pline:
                     first = pline + 1
                 if first > target:
                     continue
-                stream.max_prefetched = target
+                stream[2] = target
                 c_hwpf_issued += target - first + 1
                 base = page * pf_page_bytes
                 for l in range(first, target + 1):
@@ -370,27 +385,36 @@ def interpret(contexts, until: int | None = None) -> None:
                     promo = dlat / mlp
                     ent = cache_get(tgt)
                     if ent is not None:
-                        if arrival < ent.arrival_ns:
-                            ent.arrival_ns = arrival
-                        ent.promo_ns = (min(ent.promo_ns, promo)
-                                        if ent.promo_ns else promo)
+                        if arrival < ent[0]:
+                            ent[0] = arrival
+                        old = ent[3]
+                        if not old or promo < old:
+                            ent[3] = promo
                         cache_mte(tgt)
                     else:
                         if len(lines) >= cache_cap:
                             _, ev = cache_pop(last=False)
-                            if not ev.used:
-                                if ev.source == HWPF:
+                            if not ev[2]:
+                                src = ev[1]
+                                if src == HWPF:
                                     c_hwpf_useless += 1
-                                elif ev.source == SWPF_SRC:
+                                elif src == SWPF_SRC:
                                     c_swpf_useless += 1
-                        lines[tgt] = _Line(arrival, HWPF, False, promo)
+                        lines[tgt] = [arrival, HWPF, False, promo]
 
             ctx.pc = i
             ctx.clock = clock
             if i < end:
                 # The turn ended because another thread became the
-                # minimum, so the push cannot come straight back out.
-                _, k = heappushpop(heap, (clock, k))
+                # minimum, so the push cannot come straight back out;
+                # if it does, the turn ran no op and the next would
+                # not either: a scheduling bug, which must not spin.
+                _, nk = heappushpop(heap, (clock, k))
+                if nk == k:
+                    raise RuntimeError(
+                        f"interpret: thread {k} was handed back an empty "
+                        f"turn at op {i} (clock {clock!r})")
+                k = nk
             elif heap:
                 _, k = heappop(heap)
             else:

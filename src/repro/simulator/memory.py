@@ -16,7 +16,8 @@ and inserts the XPLine, possibly thrash-evicting another.
 interpreter calls it for every demand, software-prefetch and
 hardware-prefetch fill. It is the simulator's hottest call, so each
 backend binds it once, at construction, as a flat function: its
-constants are closure cells, and it calls no other model method.
+constants, pipes and the read buffer's dict are closure cells, and it
+calls no other model method.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ class PMBackend:
         ctrl_pipe = self.ctrl_pipe
         media_pipe = self.media_pipe
         read_buffer = self.read_buffer
+        entries = read_buffer._entries
         capacity = read_buffer.capacity
         xpline_bytes = cfg.xpline_bytes
         ctrl_step = LINE_BYTES * ctrl_pipe.ns_per_byte
@@ -159,8 +161,6 @@ class PMBackend:
             ctrl_pipe.free_at = start + ctrl_step
             qd = start - now
             xp = addr // xpline_bytes
-            # Looked up per call: fast-forward's relabel rebinds it.
-            entries = read_buffer._entries
             if xp in entries:
                 entries[xp] += 1
                 entries.move_to_end(xp)

@@ -56,9 +56,15 @@ class PMReadBuffer:
                      for xp, used in self._entries.items())
 
     def relabel(self, addr_shift: int) -> None:
-        """Translate every resident XPLine by ``addr_shift`` bytes."""
+        """Translate every resident XPLine by ``addr_shift`` bytes.
+
+        Shifts ``_entries`` in place (LRU order kept): the PM backend's
+        ``fill_line`` holds this dict in its closure.
+        """
         xp_shift = addr_shift // self.xpline_bytes
         if not xp_shift:
             return
-        self._entries = OrderedDict(
-            (xp + xp_shift, used) for xp, used in self._entries.items())
+        entries = self._entries
+        shifted = [(xp + xp_shift, used) for xp, used in entries.items()]
+        entries.clear()
+        entries.update(shifted)

@@ -16,22 +16,23 @@ own Obs. 3:
 * Non-sequential access within a page (DIALGA's shuffle mapping)
   never raises confidence, so no prefetches are issued — the paper's
   §4.2 fine-grained "switch".
+
+A stream is a plain list ``[last_line, confidence, max_prefetched]``,
+indexed by :data:`LAST`, :data:`CONF` and :data:`MAXPF`: the last
+accessed line index within the page, the sequential-hit count and the
+highest line index already prefetched. Like the cache's lines, a list
+literal costs the interpreter's hot loop no Python-level call.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.simulator.counters import Counters
 from repro.simulator.params import PrefetcherConfig
 
-
-@dataclass(slots=True)
-class _Stream:
-    last_line: int       # last accessed line index within the page
-    confidence: int      # sequential-hit count
-    max_prefetched: int  # highest line index already prefetched
+#: Field indices of a stream ``[last_line, confidence, max_prefetched]``.
+LAST, CONF, MAXPF = 0, 1, 2
 
 
 class StreamPrefetcher:
@@ -40,7 +41,7 @@ class StreamPrefetcher:
     def __init__(self, config: PrefetcherConfig, counters: Counters):
         self.config = config
         self.counters = counters
-        self._table: OrderedDict[int, _Stream] = OrderedDict()
+        self._table: OrderedDict[int, list] = OrderedDict()
         self.enabled = config.enabled
 
     def reset(self) -> None:
@@ -58,7 +59,7 @@ class StreamPrefetcher:
         """
         page_shift = addr_shift // self.config.page_bytes
         return tuple(
-            (page - page_shift, s.last_line, s.confidence, s.max_prefetched)
+            (page - page_shift, s[LAST], s[CONF], s[MAXPF])
             for page, s in self._table.items())
 
     def relabel(self, addr_shift: int) -> None:
@@ -94,17 +95,17 @@ class StreamPrefetcher:
         if stream is None:
             if len(table) >= cfg.max_streams:
                 _, evicted = table.popitem(last=False)
-                if evicted.confidence < cfg.train_threshold:
+                if evicted[CONF] < cfg.train_threshold:
                     self.counters.streams_evicted_untrained += 1
-            table[page] = _Stream(last_line=line, confidence=0, max_prefetched=line)
+            table[page] = [line, 0, line]
             self.counters.streams_allocated += 1
             return []
         table.move_to_end(page)
-        if line == stream.last_line + 1 or line == stream.last_line + 2:
+        if line == stream[LAST] + 1 or line == stream[LAST] + 2:
             # Sequential advance of the stream head.
-            stream.confidence += 1
-            stream.last_line = line
-        elif line <= stream.last_line:
+            stream[CONF] += 1
+            stream[LAST] = line
+        elif line <= stream[LAST]:
             # At or behind the head: a re-touch (e.g. the demand load
             # trailing a software prefetch). Streamers track the
             # monotone head and ignore these — which is exactly why
@@ -113,20 +114,20 @@ class StreamPrefetcher:
         else:
             # Forward jump beyond the sequential window (the shuffle
             # mapping's signature): lose confidence.
-            stream.confidence = max(0, stream.confidence - 2)
-            stream.last_line = line
+            stream[CONF] = max(0, stream[CONF] - 2)
+            stream[LAST] = line
             return []
-        if stream.confidence < cfg.train_threshold:
+        if stream[CONF] < cfg.train_threshold:
             return []
         distance = min(
-            (stream.confidence - cfg.train_threshold) // cfg.ramp_div + 1,
+            (stream[CONF] - cfg.train_threshold) // cfg.ramp_div + 1,
             cfg.max_distance,
         )
         target = min(line + distance, lines_per_page - 1)
-        start = max(stream.max_prefetched + 1, line + 1)
+        start = max(stream[MAXPF] + 1, line + 1)
         if start > target:
             return []
-        stream.max_prefetched = target
+        stream[MAXPF] = target
         out = [
             page * cfg.page_bytes + l * line_bytes
             for l in range(start, target + 1)

@@ -1,6 +1,6 @@
 """Reference interpreter: the simulator's per-op semantics, spelled out.
 
-:meth:`repro.simulator.engine.ThreadContext.run` inlines the cache, the
+:func:`repro.simulator.engine.interpret` inlines the cache, the
 streamer and the store path into one loop for speed; its line fills
 are one call into the load backend's ``fill_line``. This module states
 the same semantics readably, one op at a time, through the model
@@ -13,7 +13,7 @@ It is the oracle the interpreter is pinned to: every makespan, thread
 time and counter must agree exactly (``==``, not approximately), which
 holds only if both perform the same floating-point operations in the
 same order. Both call the same ``fill_line``, so the oracle checks
-what ``run()`` does with a fill's ``(wait, latency, demand_latency)``,
+what ``interpret`` does with a fill's ``(wait, latency, demand_latency)``,
 not the fill itself: ``tests/test_sim_engine.py`` pins the fill
 arithmetic with hand-computed values.
 """
@@ -23,7 +23,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import asdict
 
-from repro.simulator.cache import DEMAND, HWPF, SWPF as SWPF_SRC
+from repro.simulator.cache import (
+    ARRIVAL, DEMAND, HWPF, PROMO, SOURCE, SWPF as SWPF_SRC, USED)
 from repro.simulator.counters import Counters
 from repro.simulator.engine import ThreadContext
 from repro.simulator.multicore import SimResult, make_backends
@@ -49,10 +50,10 @@ def _load(ctx: ThreadContext, addr: int) -> None:
     line = addr & ~63
     ent = ctx.cache.lookup(line)
     if ent is not None:
-        ent.used = True
-        if ent.arrival_ns <= now:
+        ent[USED] = True
+        if ent[ARRIVAL] <= now:
             c.load_cache_hits += 1
-            if ent.source == HWPF:
+            if ent[SOURCE] == HWPF:
                 c.hwpf_useful += 1
             now += hit_ns
         else:
@@ -60,12 +61,12 @@ def _load(ctx: ThreadContext, addr: int) -> None:
             # demand priority, so the wait is the smaller of the
             # prefetch's remaining time and what the same fill would
             # have cost at demand priority.
-            wait = min(ent.arrival_ns - now, ent.promo_ns)
+            wait = min(ent[ARRIVAL] - now, ent[PROMO])
             c.load_late_prefetch += 1
             c.load_stall_ns += wait
-            if ent.source == SWPF_SRC:
+            if ent[SOURCE] == SWPF_SRC:
                 c.swpf_late += 1
-            elif ent.source == HWPF:
+            elif ent[SOURCE] == HWPF:
                 # Late hardware prefetch: mostly wasted (0xf2-ish).
                 c.hwpf_useless += 1
             now += wait + hit_ns

@@ -5,7 +5,8 @@ import dataclasses
 from hypothesis import given, settings, strategies as st
 
 from repro.simulator import Counters, CoreCache, HardwareConfig, simulate
-from repro.simulator.cache import DEMAND, HWPF, SWPF as SWPF_SRC
+from repro.simulator.cache import (
+    ARRIVAL, DEMAND, HWPF, PROMO, SOURCE, SWPF as SWPF_SRC, USED)
 from repro.simulator.memory import PMBackend
 from repro.simulator.params import CacheConfig, PMConfig
 from repro.simulator.streamprefetcher import StreamPrefetcher
@@ -114,7 +115,7 @@ def test_cache_relabel_is_a_group_action(addrs, data, a, b, ta, tb):
         return cache
 
     def snapshot(c):
-        return [(addr, e.arrival_ns, e.source, e.used, e.promo_ns)
+        return [(addr, e[ARRIVAL], e[SOURCE], e[USED], e[PROMO])
                 for addr, e in c._lines.items()]
 
     c1 = build()

@@ -11,14 +11,17 @@ the equal-clock ties the scheduler breaks by thread index — and on
 fixed traces at the 8 and 16 threads of the scaling figures.
 """
 
+import heapq
 import random
+import signal
+import types
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import simulate
-from repro.simulator import Counters, HardwareConfig
+from repro.simulator import Counters, HardwareConfig, engine
 from repro.simulator.engine import ThreadContext
 from repro.simulator.multicore import make_backends, make_contexts
 from repro.simulator.params import CacheConfig
@@ -157,6 +160,31 @@ def test_unknown_opcode_in_multithread_run_stops_at_bad_op():
     assert [ctx.pc for ctx in live] == [ctx.pc for ctx in ref]
     assert [ctx.clock for ctx in live] == [ctx.clock for ctx in ref]
     assert asdict(live[0].counters) == asdict(ref[0].counters)
+
+
+def test_empty_turn_raises_instead_of_spinning(monkeypatch):
+    """A scheduler that hands a thread straight back gives it a turn
+    with no op to run; the interpreter raises rather than loop forever
+    (the alarm fails the test, not hangs it, should that ever break)."""
+    broken = types.SimpleNamespace(
+        heapify=heapq.heapify, heappop=heapq.heappop,
+        heappushpop=lambda heap, item: item)
+    monkeypatch.setattr(engine, "heapq", broken)
+    hw = HardwareConfig()
+    live = make_contexts(hw, _traces([_fixed_ops(3, 40)] * 2))
+
+    def hang(signum, frame):
+        raise TimeoutError("interpret spun on an empty turn")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(RuntimeError, match="empty turn"):
+            engine.interpret(live)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert live[0].pc == 1 and live[1].pc == 0
 
 
 # ------------------------------------------------ 8 and 16 threads

@@ -81,12 +81,20 @@ def test_experiments_md_renders_from_tracked_json():
     assert script["render"]() == (ROOT / "EXPERIMENTS.md").read_text()
 
 
-@pytest.mark.parametrize("fig_id", ["fig07", "ablation_read_buffer"])
+#: The figure and ablation ids that re-simulate in under about a
+#: second each; the rest are regenerated by ``scripts/run_all.sh``.
+CHEAP_IDS = [
+    "fig03", "fig04", "fig05", "fig06", "fig07", "fig17", "fig18", "fig19",
+    "ablation_read_buffer", "ablation_stream_table", "ablation_eq1_cap",
+    "ablation_hillclimb", "ablation_shuffle", "extension_update_path",
+]
+
+
+@pytest.mark.parametrize("fig_id", CHEAP_IDS)
 def test_multithread_figures_resimulate_to_tracked_json(fig_id):
-    """Fig. 7 and the read-buffer ablation, re-simulated at full volume
-    through the multicore interpreter, equal the tracked JSON minus its
-    host columns. A fresh memo keeps earlier tests' runs from serving
-    them."""
+    """Every cheap figure and ablation, re-simulated at full volume,
+    equals the tracked JSON minus its host columns. A fresh memo keeps
+    earlier tests' runs from serving them."""
     with sim_cache(SimCache()):
         result = {**ALL_FIGURES, **ALL_ABLATIONS}[fig_id]()
     tracked = json.loads((RESULTS / f"{fig_id}.json").read_text())

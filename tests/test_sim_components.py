@@ -5,8 +5,10 @@ import pytest
 from repro.simulator import (
     Counters, CoreCache, PMBackend, PMReadBuffer, StreamPrefetcher,
 )
-from repro.simulator.cache import DEMAND, HWPF, SWPF
+from repro.simulator.cache import (
+    ARRIVAL, DEMAND, HWPF, PROMO, SOURCE, SWPF, USED)
 from repro.simulator.params import PMConfig, PrefetcherConfig
+from repro.simulator.streamprefetcher import CONF, LAST, MAXPF
 
 
 # -- CoreCache --------------------------------------------------------------
@@ -17,7 +19,7 @@ def test_cache_insert_lookup():
     cache.insert(0, 10.0, DEMAND, used=True)
     assert 0 in cache
     ent = cache.lookup(0)
-    assert ent.arrival_ns == 10.0
+    assert ent[ARRIVAL] == 10.0
     assert cache.lookup(64) is None
 
 
@@ -35,7 +37,7 @@ def test_cache_eviction_of_used_line_not_useless():
     c = Counters()
     cache = CoreCache(1, c)
     cache.insert(0, 0.0, HWPF)
-    cache.lookup(0).used = True
+    cache.lookup(0)[USED] = True
     cache.insert(64, 0.0, DEMAND)
     assert c.hwpf_useless == 0
 
@@ -45,7 +47,7 @@ def test_cache_swpf_useless_on_drain():
     cache = CoreCache(4, c)
     cache.insert(0, 0.0, SWPF)
     cache.insert(64, 0.0, SWPF)
-    cache.lookup(64).used = True
+    cache.lookup(64)[USED] = True
     cache.drain()
     assert c.swpf_useless == 1
     assert len(cache) == 0
@@ -58,7 +60,7 @@ def test_cache_drain_counts_mixed_resident_set():
     cache = CoreCache(16, c)
     cache.insert(0, 0.0, HWPF)                 # unused HWPF
     cache.insert(64, 0.0, HWPF)                # used HWPF
-    cache.lookup(64).used = True
+    cache.lookup(64)[USED] = True
     cache.insert(128, 0.0, SWPF)               # unused SWPF
     cache.insert(192, 0.0, SWPF)               # unused SWPF
     cache.insert(256, 0.0, SWPF, used=True)    # used SWPF
@@ -77,12 +79,25 @@ def test_cache_reinsert_keeps_earliest_arrival():
     cache = CoreCache(4, c)
     cache.insert(0, 100.0, HWPF)
     cache.insert(0, 50.0, SWPF)
-    assert cache.lookup(0).arrival_ns == 50.0
+    assert cache.lookup(0)[ARRIVAL] == 50.0
 
 
 def test_cache_capacity_validation():
     with pytest.raises(ValueError):
         CoreCache(0, Counters())
+
+
+def test_entry_field_indices_match_the_interpreter_literals():
+    """``engine.interpret`` indexes cache lines and streams with the
+    literals 0..3 and 0..2; the named indices must stay those."""
+    assert (ARRIVAL, SOURCE, USED, PROMO) == (0, 1, 2, 3)
+    assert (LAST, CONF, MAXPF) == (0, 1, 2)
+
+
+def test_cache_line_is_a_four_field_list():
+    cache = CoreCache(4, Counters())
+    cache.insert(0, 10.0, HWPF, promo_ns=3.0)
+    assert cache.lookup(0) == [10.0, HWPF, False, 3.0]
 
 
 # -- StreamPrefetcher --------------------------------------------------------
@@ -93,6 +108,18 @@ def _pf(max_streams=32, train=2, dist=4, enabled=True, ramp=1):
                            ramp_div=ramp)
     c = Counters()
     return StreamPrefetcher(cfg, c), c
+
+
+def test_prefetcher_stream_fields():
+    pf, _ = _pf(train=2, dist=4)
+    pf.on_access(0)
+    stream = pf._table[0]
+    assert (stream[LAST], stream[CONF], stream[MAXPF]) == (0, 0, 0)
+    pf.on_access(64)
+    pf.on_access(128)    # trains: prefetches line 3
+    assert (stream[LAST], stream[CONF], stream[MAXPF]) == (2, 2, 3)
+    pf.on_access(10 * 64)  # forward jump: loses confidence
+    assert (stream[LAST], stream[CONF], stream[MAXPF]) == (10, 0, 3)
 
 
 def test_prefetcher_trains_on_sequential():
@@ -230,6 +257,22 @@ def test_readbuffer_lru_refresh_on_hit():
     _hit(p, 4 * 256)        # should evict XPLine 1 (LRU), not 0
     assert _hit(p, 0)
     assert not _hit(p, 256)
+
+
+def test_readbuffer_relabel_shifts_entries_in_place():
+    """``fill_line`` holds the buffer's dict in its closure, so
+    ``relabel`` must shift that same dict, not rebind it."""
+    p, _ = _rb_backend()
+    for xp in (2, 0, 1):
+        _hit(p, xp * 256)
+    _hit(p, 64)
+    rb = p.read_buffer
+    entries = rb._entries
+    rb.relabel(3 * 256)
+    assert rb._entries is entries
+    assert list(entries.items()) == [(5, 1), (4, 1), (3, 2)]
+    assert _hit(p, 3 * 256)      # the fill sees the shifted XPLines
+    assert not _hit(p, 0)
 
 
 def test_readbuffer_capacity_validation():
