@@ -84,15 +84,12 @@ class CoreCache:
 
     def drain(self) -> None:
         """End-of-run flush: account never-used prefetches as useless."""
-        hwpf = swpf = 0
-        for ent in self._lines.values():
-            if not ent[USED]:
-                if ent[SOURCE] == HWPF:
-                    hwpf += 1
-                elif ent[SOURCE] == SWPF:
-                    swpf += 1
-        self.counters.hwpf_useless += hwpf
-        self.counters.swpf_useless += swpf
+        # A count needs no LRU order: ``dict.values`` walks the plain
+        # dict under the OrderedDict, skipping its per-entry lookup.
+        unused = [ent[SOURCE] for ent in dict.values(self._lines)
+                  if not ent[USED]]
+        self.counters.hwpf_useless += unused.count(HWPF)
+        self.counters.swpf_useless += unused.count(SWPF)
         self._lines.clear()
 
     # -- fast-forward hooks ------------------------------------------------

@@ -83,6 +83,14 @@ _FLOAT_FIELDS = tuple(f.name for f in fields(Counters)
 
 
 def _stats(engaged: bool, reason: str | None = None, **extra) -> dict:
+    """The stats dict :func:`run_fastforward` returns.
+
+    ``periods_total`` is the detected periodic region;
+    ``periods_interpreted`` counts only the periods run one by one in
+    the boundary loop, not the prolog or the final run that ends the
+    trace (which includes the last ``MIN_JUMP`` periods, where no jump
+    can start).
+    """
     out = {"engaged": engaged, "reason": reason,
            "periods_total": 0, "periods_interpreted": 0,
            "periods_skipped": 0, "jumps": 0, "converged_at_op": None,
@@ -173,6 +181,14 @@ def run_fastforward(ctx: ThreadContext) -> dict:
                       period_ops=info.period_ops, stride=stride,
                       periods_total=info.periods)
 
+    if info.periods < CONFIRM_PERIODS + 1 + MIN_JUMP:
+        # The earliest jump comes at boundary CONFIRM_PERIODS + 1 and
+        # needs MIN_JUMP periods after it: a shorter trace cannot jump.
+        ctx.run()
+        return _stats(False, "too few periods",
+                      period_ops=info.period_ops, stride=stride,
+                      periods_total=info.periods)
+
     tracer = get_tracer()
     counters = ctx.counters
     cache = ctx.cache
@@ -198,7 +214,9 @@ def run_fastforward(ctx: ThreadContext) -> dict:
     validated = False          # digest-certified steady state
     live = 0.0                 # furthest live time offset at validation
 
-    while q < info.periods:
+    # A jump needs MIN_JUMP periods left after the boundary it starts
+    # at, so the last MIN_JUMP periods are left to the final run.
+    while q < info.periods - MIN_JUMP:
         ctx.run(until=info.boundary(q + 1))
         q += 1
         interpreted += 1

@@ -17,7 +17,9 @@ interpreter calls it for every demand, software-prefetch and
 hardware-prefetch fill. It is the simulator's hottest call, so each
 backend binds it once, at construction, as a flat function: its
 constants, pipes and the read buffer's dict are closure cells, and it
-calls no other model method.
+calls no other model method. The PM fill also binds the read buffer's
+``get``/``move_to_end``/``popitem``, and serves a buffer hit with one
+``get`` and one store.
 """
 
 from __future__ import annotations
@@ -144,6 +146,10 @@ class PMBackend:
         media_pipe = self.media_pipe
         read_buffer = self.read_buffer
         entries = read_buffer._entries
+        entries_get = entries.get
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
+        line_bytes = LINE_BYTES
         capacity = read_buffer.capacity
         xpline_bytes = cfg.xpline_bytes
         ctrl_step = LINE_BYTES * ctrl_pipe.ns_per_byte
@@ -154,16 +160,17 @@ class PMBackend:
 
         def fill_line(addr: int, now: float,
                       demand: bool) -> tuple[float, float, float]:
-            counters.ctrl_read_bytes += LINE_BYTES
+            counters.ctrl_read_bytes += line_bytes
             start = ctrl_pipe.free_at
             if start < now:
                 start = now
             ctrl_pipe.free_at = start + ctrl_step
             qd = start - now
             xp = addr // xpline_bytes
-            if xp in entries:
-                entries[xp] += 1
-                entries.move_to_end(xp)
+            used = entries_get(xp)
+            if used is not None:
+                entries[xp] = used + 1
+                move_to_end(xp)
                 counters.buffer_hits += 1
                 return qd, hit_ns, hit_ns
             counters.buffer_misses += 1
@@ -174,7 +181,7 @@ class PMBackend:
             media_pipe.free_at = mstart + media_step
             counters.media_read_bytes += xpline_bytes
             if len(entries) >= capacity:
-                _, used = entries.popitem(last=False)
+                _, used = popitem(last=False)
                 counters.buffer_evictions += 1
                 if used <= 1:
                     counters.buffer_evictions_unused += 1

@@ -7,6 +7,7 @@ import pytest
 from repro.obs import Tracer, use_tracer
 from repro.parallel.cache import sim_key
 from repro.simulator import HardwareConfig, simulate
+from repro.simulator.fastforward import CONFIRM_PERIODS, MIN_JUMP
 from repro.simulator.params import CacheConfig
 from repro.trace import (COMPUTE, FENCE, LOAD, STORE, IsalVariant, Trace,
                          TracePeriod, Workload, detect_period, isal_trace)
@@ -94,18 +95,20 @@ def tr_period_ops(tr):
 
 
 class TestExactness:
-    @pytest.mark.parametrize("kwargs", [
-        dict(stripes=200),
-        dict(stripes=200, swpf=4),
-        dict(stripes=200, op="decode", erasures=2),
-        dict(stripes=200, k=8, m=4, block_bytes=1024),
-    ])
-    def test_byte_identical_to_interpreter(self, kwargs):
+    @pytest.mark.parametrize("kwargs, engagement", [
+        (dict(stripes=200), (95, 3)),
+        (dict(stripes=200, swpf=4), (92, 4)),
+        (dict(stripes=200, op="decode", erasures=2), (95, 3)),
+        (dict(stripes=200, k=8, m=4, block_bytes=1024), (105, 3)),
+    ], ids=[f"kwargs{i}" for i in range(4)])
+    def test_byte_identical_to_interpreter(self, kwargs, engagement):
         tr = encode_trace(**kwargs)
         plain = simulate(tr, SMALL_HW, fastforward=False)
         fast = simulate(tr, SMALL_HW, fastforward=True)
         assert fast.fastforward["engaged"]
-        assert fast.fastforward["periods_skipped"] > 0
+        # Pinned: a cheaper fast-forward must skip exactly as much.
+        assert (fast.fastforward["periods_skipped"],
+                fast.fastforward["jumps"]) == engagement
         assert_identical(plain, fast)
 
     def test_dram_backend_identical(self):
@@ -152,6 +155,23 @@ class TestFallback:
         fast = simulate(tr, SMALL_HW, fastforward=True)
         assert not fast.fastforward["engaged"]
         assert fast.fastforward["reason"] == "no periodic structure"
+
+    def test_too_few_periods_to_jump_declines(self):
+        """The earliest jump starts at boundary CONFIRM_PERIODS + 1
+        and needs MIN_JUMP periods after it, so a shorter periodic
+        trace runs in one piece; one more period enters the loop."""
+        short = CONFIRM_PERIODS + MIN_JUMP
+        tr = encode_trace(short)
+        assert detect_period(tr).periods == short
+        plain = simulate(tr, SMALL_HW, fastforward=False)
+        fast = simulate(tr, SMALL_HW, fastforward=True)
+        assert fast.fastforward["reason"] == "too few periods"
+        assert fast.fastforward["periods_total"] == short
+        assert fast.fastforward["periods_interpreted"] == 0
+        assert_identical(plain, fast)
+        longer = simulate(encode_trace(short + 1), SMALL_HW,
+                          fastforward=True)
+        assert longer.fastforward["reason"] != "too few periods"
 
     def test_default_on_single_thread_off_multicore(self):
         tr = encode_trace(30)

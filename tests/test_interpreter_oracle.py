@@ -144,6 +144,42 @@ def test_chunked_reentry_matches_reference(per_thread, hw, chunks):
         assert_identical(res, reference_simulate([live[0].trace], hw))
 
 
+@given(_thread_ops(), _hardware, st.integers(1, 4), st.integers(1, 500))
+@settings(max_examples=40, deadline=None)
+def test_chunked_reentry_from_bumped_counters(per_thread, hw, chunks,
+                                               bump):
+    """Counters changed between calls, as a fast-forward jump changes
+    them, stay exact: the interpreter settles ``app_read_bytes`` and
+    ``write_bytes`` from the loads and stores of each call, so it must
+    add to what it finds, not recompute from the op counts.
+
+    The counters start non-zero and inconsistent (bytes that are no
+    multiple of the op counts), and every chunk first adds to
+    ``loads``/``app_read_bytes`` and ``stores``/``write_bytes``.
+    """
+    n = len(per_thread)
+    live, ref = _contexts(hw, n), _contexts(hw, n)
+    for ctxs in (live, ref):
+        ctr = ctxs[0].counters
+        ctr.loads, ctr.app_read_bytes = 7, 1000
+        ctr.stores, ctr.write_bytes = 3, 100
+    for c in range(chunks):
+        chunk = [ops[c * len(ops) // chunks:(c + 1) * len(ops) // chunks]
+                 for ops in per_thread]
+        last = c == chunks - 1
+        for ctxs in (live, ref):
+            ctr = ctxs[0].counters
+            ctr.loads += bump
+            ctr.app_read_bytes += 64 * bump
+            ctr.stores += 2 * bump
+            ctr.write_bytes += 128 * bump
+            for ctx, trace in zip(ctxs, _traces(chunk)):
+                ctx.trace.extend(trace)
+        res = simulate([], hw, contexts=live, drain=last)
+        assert_identical(res, reference_simulate([], hw, contexts=ref,
+                                                 drain=last))
+
+
 def test_unknown_opcode_in_multithread_run_stops_at_bad_op():
     hw = HardwareConfig()
     good = [(LOAD, i * 64) for i in range(8)]
