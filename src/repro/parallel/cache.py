@@ -5,10 +5,10 @@ a workload, a library configuration, a :class:`HardwareConfig` — so
 memoizing them is sound *by construction*: equal fingerprints imply
 equal outputs, bit for bit. Keys are sha256 digests of a canonical
 encoding of those inputs (exact float encoding, sorted keys, type
-tags), so any change to any input — a prefetcher knob, a block size,
-a DIALGA threshold — produces a different key and never a stale hit.
-The store lives in one process, so no entry outlives the code that
-made it.
+tags), so any input that changes what is simulated — a prefetcher
+knob, a block size, a DIALGA threshold — produces a different key and
+never a stale hit. The store lives in one process, so no entry
+outlives the code that made it.
 
 Two layers use this module:
 
@@ -21,6 +21,29 @@ Two layers use this module:
   (library × workload × hardware × policy) memoize their results;
   ``python -m repro.bench sweep`` times a warm pass.
 
+:func:`sim_key` hashes a run's exact trace content. The simulation
+memo keys on :func:`rebased` traces instead: every LOAD/SWPF address
+moved down by one common offset, a multiple of ``G = lcm(page, XPLine,
+64 B)``, and every STORE address zeroed. Two runs with equal rebased
+forms perform the same float operations in the same order, so one
+result serves both:
+
+* the core cache is keyed by line (``addr & ~63``), and a shift by a
+  multiple of 64 B maps lines one to one;
+* the streamer is keyed by page and works on in-page line offsets
+  only; its prefetch targets never leave their page, so a shift by
+  whole pages moves them with the page;
+* the PM read buffer is keyed by ``addr // xpline_bytes``, which a
+  shift by whole XPLines moves one to one;
+* the bandwidth pipes, the store path and FENCE never read an
+  address, so STORE addresses are dead;
+* every LRU order follows the order of operations, not key values.
+
+So an RS decode trace, which is its encode twin with every load moved
+by ``erasures`` blocks (each block starts on its own page,
+:mod:`repro.trace.layout`) and other store addresses, is served from
+the encode's entry.
+
 Values are stored *pickled*, in memory. Storing bytes rather than
 live objects means every :meth:`ContentCache.get` returns a fresh
 object — callers may mutate results (merge counters, attach metadata)
@@ -31,12 +54,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pickle
+from array import array
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
+import numpy as np
+
 from repro.simulator import multicore as _multicore
-from repro.trace.ops import Trace
+from repro.trace.ops import LOAD, STORE, SWPF, Trace
 
 # -- fingerprinting ------------------------------------------------------
 
@@ -84,7 +111,12 @@ def trace_fingerprint(trace: Trace) -> str:
 
 def sim_key(traces, hw, batch_ops: int = 1,
             fastforward: bool = False) -> str:
-    """Cache key for ``simulate(traces, hw, fastforward=fastforward)``.
+    """Cache key for ``simulate(traces, hw, fastforward=fastforward)``
+    over the traces' exact content.
+
+    Equal keys mean equal traces, op for op. The simulation memo
+    passes :func:`rebased` traces here, so it also serves runs that
+    differ only in where their pages lie (see the module docstring).
 
     ``batch_ops`` is always 1: the scheduler no longer has that knob,
     but the parameter stays for callers that pass it positionally.
@@ -100,6 +132,42 @@ def sim_key(traces, hw, batch_ops: int = 1,
     for t in traces:
         h.update(t.content_key())
     return h.hexdigest()
+
+
+def rebased(traces, hw) -> list[Trace]:
+    """The traces as the simulation memo keys them.
+
+    Every LOAD/SWPF address drops by one common offset: the lowest
+    such address over all ``traces``, floored to a multiple of
+    ``lcm(page_bytes, xpline_bytes, 64)`` (0 if any is negative). Every
+    STORE address becomes 0. Opcodes, COMPUTE/FENCE args and
+    ``data_bytes`` stay. Simulating the result on ``hw`` is
+    bit-identical to simulating ``traces`` (module docstring); the
+    float subtractions are exact, since addresses are integers below
+    2**53. The rebased traces share their opcode arrays with
+    ``traces``.
+    """
+    grain = math.lcm(hw.prefetcher.page_bytes, hw.pm.xpline_bytes, 64)
+    cols = []
+    low = math.inf
+    for t in traces:
+        ops = np.frombuffer(t.opcodes, np.uint8)
+        args = np.frombuffer(t.args, np.float64)
+        addr = (ops == LOAD) | (ops == SWPF)
+        if addr.any():
+            low = min(low, float(args[addr].min()))
+        cols.append((ops, args, addr))
+    offset = int(low) // grain * grain if 0 <= low < math.inf else 0
+    out = []
+    for t, (ops, args, addr) in zip(traces, cols):
+        args = args.copy()
+        args[addr] -= offset
+        args[ops == STORE] = 0.0
+        canon = Trace(data_bytes=t.data_bytes)
+        canon.opcodes = t.opcodes
+        canon.args = array("d", args.tobytes())
+        out.append(canon)
+    return out
 
 
 # -- the store -----------------------------------------------------------
@@ -138,16 +206,17 @@ class ContentCache:
 # -- the simulate() memo ------------------------------------------------
 
 #: Entries a :class:`SimCache` holds; past it the oldest is dropped.
-#: The 24 figure and ablation ids, run in one process, leave 1,285
-#: entries (about 1.1 MB pickled), so every repeat in them is served.
+#: The 24 figure and ablation ids, run in one process, leave 1,160
+#: entries (about 1.0 MB pickled), so every repeat in them is served.
 SIM_MEMO_SIZE = 2048
 
 
 class SimCache(ContentCache):
     """Bounded (traces, hardware) -> :class:`SimResult` memo behind
     :func:`repro.simulate`'s ``_SIM_CACHE`` seam (in
-    :mod:`repro.simulator.multicore`). Holds at most
-    :data:`SIM_MEMO_SIZE` entries, evicting the oldest first."""
+    :mod:`repro.simulator.multicore`), keyed on the :func:`rebased`
+    traces. Holds at most :data:`SIM_MEMO_SIZE` entries, evicting the
+    oldest first."""
 
     def put(self, key: str, value) -> None:
         """Store ``value`` under ``key``, dropping the oldest entry if full."""
@@ -157,8 +226,9 @@ class SimCache(ContentCache):
 
     def simulate(self, traces, hw, fastforward: bool = False):
         """A cacheable :func:`repro.simulate` run: served from memory if
-        seen before, else simulated and remembered."""
-        key = sim_key(traces, hw, fastforward=fastforward)
+        seen before (up to a page rebase, :func:`rebased`), else
+        simulated and remembered."""
+        key = sim_key(rebased(traces, hw), hw, fastforward=fastforward)
         res = self.get(key)
         if res is None:
             res = _multicore._simulate(traces, hw, contexts=None, drain=True,

@@ -101,7 +101,10 @@ def simulate(trace, hardware: HardwareConfig | None = None, *,
     (fresh contexts, full drain, tracing disabled), a repeated (trace,
     hardware) simulation is served from memory without re-executing —
     bit-identically, because simulation is a pure function of those
-    inputs.
+    inputs. A repeat need not be exact: the memo keys on the traces
+    rebased to their first page with STORE addresses dropped
+    (:func:`repro.parallel.cache.rebased`), which simulate the same, so
+    an RS decode is served from its encode twin.
 
     Parameters
     ----------
