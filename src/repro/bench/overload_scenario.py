@@ -46,10 +46,7 @@ def _overload_config(*, retry_budget: bool = True) -> OverloadConfig:
         retry_budget_initial=2.0,
         retry_budget_ratio=0.05,
         retry_budget_cap=4.0,
-        brownout_enter_after=3,
-        brownout_exit_after=4,
         brownout_enter_pressure=0.6,
-        brownout_exit_pressure=0.25,
     )
 
 

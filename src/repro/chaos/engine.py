@@ -45,6 +45,12 @@ from repro.service import (
 )
 from repro.service.retry import RetryPolicy
 
+#: Simulated length of one settle-phase maintenance window.
+SETTLE_WINDOW_NS = 2e6
+#: Settle windows granted after the last arrival before giving up on
+#: full healing.
+SETTLE_PATIENCE = 400
+
 
 class CampaignEngine:
     """Drives one campaign; :meth:`run` returns the report.
@@ -55,18 +61,14 @@ class CampaignEngine:
         The schedule to execute.
     config:
         Service knobs (default: jittered retries, roomy queue).
-    healer:
-        Self-healing loop (default: stock :class:`SelfHealer`).
-    settle_patience:
-        Maintenance windows (of ``settle_window_ns`` each) granted
-        after the last arrival before giving up on full healing.
+
+    The service gets a stock :class:`SelfHealer`; after the last
+    arrival the engine grants up to ``SETTLE_PATIENCE`` maintenance
+    windows of ``SETTLE_WINDOW_NS`` each.
     """
 
     def __init__(self, campaign: Campaign, *,
-                 config: ServiceConfig | None = None,
-                 healer: SelfHealer | None = None,
-                 settle_window_ns: float = 2e6,
-                 settle_patience: int = 400):
+                 config: ServiceConfig | None = None):
         self.campaign = campaign
         # verify_reads: a chaos run must never serve silent corruption
         # to a client — reads checksum-verify (and repair) their stripe
@@ -75,9 +77,7 @@ class CampaignEngine:
         self.config = config or ServiceConfig(
             max_queue_depth=32, max_batch=8, verify_reads=True,
             retry=RetryPolicy(jitter=0.5, seed=campaign.seed))
-        self.healer = healer or SelfHealer()
-        self.settle_window_ns = settle_window_ns
-        self.settle_patience = settle_patience
+        self.healer = SelfHealer()
         self.service: ErasureCodingService | None = None
         self.injector: FaultInjector | None = None
         self.auditor = DurabilityAuditor()
@@ -211,10 +211,10 @@ class CampaignEngine:
                     and healer.backlog() == 0
                     and not healer.monitor.open_devices())
 
-        for _ in range(self.settle_patience):
+        for _ in range(SETTLE_PATIENCE):
             if healed():
                 return svc.clock_ns
-            end = svc.clock_ns + self.settle_window_ns
+            end = svc.clock_ns + SETTLE_WINDOW_NS
             svc.run_maintenance(end)
             svc.clock_ns = max(svc.clock_ns, end)
         return svc.clock_ns if healed() else None

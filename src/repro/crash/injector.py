@@ -31,6 +31,9 @@ from repro.crash.scenarios import CrashScenario
 from repro.pmstore.pmem import CrashPolicy, keep_flushed, seeded_line_policy
 from repro.pmstore.store import PMStore, RecoveryReport
 
+#: Stripe-region and WAL-region size of every replayed store.
+STORE_CAPACITY_BYTES = 1 << 20
+
 
 class PowerCut(BaseException):
     """Raised at an armed ordering boundary: power died *here*.
@@ -136,25 +139,22 @@ class CrashInjector:
     ----------
     scenario:
         The op sequence to interrupt.
-    pm_capacity_bytes, wal_capacity_bytes:
-        Store sizing (small defaults keep digests cheap: the harness
-        hashes the allocated region at every point).
+
+    Every replay runs on a store of ``STORE_CAPACITY_BYTES`` of stripe
+    region and as much WAL (small, so digests stay cheap: the harness
+    hashes the allocated region at every point).
     """
 
-    def __init__(self, scenario: CrashScenario, *,
-                 pm_capacity_bytes: int = 1 << 20,
-                 wal_capacity_bytes: int = 1 << 20):
+    def __init__(self, scenario: CrashScenario):
         self.scenario = scenario
-        self.pm_capacity_bytes = pm_capacity_bytes
-        self.wal_capacity_bytes = wal_capacity_bytes
 
     # -- scenario execution --------------------------------------------------
 
     def _fresh_store(self) -> PMStore:
         s = self.scenario
         return PMStore(s.k, s.m, block_bytes=s.block_bytes, lrc_l=s.lrc_l,
-                       pm_capacity_bytes=self.pm_capacity_bytes,
-                       wal_capacity_bytes=self.wal_capacity_bytes)
+                       pm_capacity_bytes=STORE_CAPACITY_BYTES,
+                       wal_capacity_bytes=STORE_CAPACITY_BYTES)
 
     @staticmethod
     def _apply_op(store: PMStore, op: tuple) -> None:

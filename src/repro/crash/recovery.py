@@ -18,6 +18,9 @@ from dataclasses import dataclass, field, replace
 from repro.obs import get_tracer
 from repro.pmstore.pmem import CrashPolicy
 
+#: Fixed restart overhead (firmware + process boot) of one power cut.
+RESTART_NS = 5e5
+
 
 @dataclass
 class ServiceRecoveryReport:
@@ -66,22 +69,21 @@ class ServiceRecovery:
         Optional :class:`~repro.chaos.audit.DurabilityAuditor`; when
         given, recovery reconciles every acknowledged key against the
         rebuilt store (hooks bypassed: this audits the *media*).
-    restart_ns:
-        Fixed restart overhead (firmware + process boot) charged on top
-        of the WAL-scan and line-redo transfer time.
+
+    Each outage costs ``RESTART_NS`` on top of the WAL-scan and
+    line-redo transfer time.
     """
 
-    def __init__(self, service, *, auditor=None, restart_ns: float = 5e5):
+    def __init__(self, service, *, auditor=None):
         self.service = service
         self.auditor = auditor
-        self.restart_ns = restart_ns
         self.reports: list[ServiceRecoveryReport] = []
 
     def _recovery_cost_ns(self, report) -> float:
         """Simulated outage length: restart + scan + redo transfers."""
         svc = self.service
         redo_bytes = report.lines_redone * svc.store.domain.line_bytes
-        return (self.restart_ns
+        return (RESTART_NS
                 + svc._transfer_ns(report.wal_bytes_scanned + redo_bytes))
 
     def power_cut(self, policy: CrashPolicy | None = None

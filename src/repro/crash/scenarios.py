@@ -80,13 +80,18 @@ def degraded_scenario(seed: int = 0) -> CrashScenario:
     return CrashScenario(name=f"degraded(seed={seed})", ops=tuple(ops))
 
 
-def soak_scenario(seed: int = 0, rounds: int = 6) -> CrashScenario:
+#: Put/update rounds of :func:`soak_scenario`.
+SOAK_ROUNDS = 6
+
+
+def soak_scenario(seed: int = 0) -> CrashScenario:
     """A larger mixed workload for the full-enumeration soak (``slow``
-    marker): several stripes, repeated update/overwrite churn."""
+    marker): several stripes, ``SOAK_ROUNDS`` rounds of repeated
+    update/overwrite churn."""
     rng = np.random.default_rng([seed, 0x50AC])
     ops: list[tuple] = []
     sizes = {}
-    for r in range(rounds):
+    for r in range(SOAK_ROUNDS):
         for i in range(4):
             key = f"o{r % 3}-{i}"
             if key in sizes and rng.integers(2):
@@ -94,7 +99,7 @@ def soak_scenario(seed: int = 0, rounds: int = 6) -> CrashScenario:
             else:
                 sizes[key] = int(rng.integers(128, 700))
                 ops.append(("put", key, _payload(rng, sizes[key])))
-        if r == rounds // 2:
+        if r == SOAK_ROUNDS // 2:
             ops.append(("mark_lost", 0, 1))
             ops.append(("repair",))
     return CrashScenario(name=f"soak(seed={seed})", ops=tuple(ops))

@@ -93,7 +93,7 @@ def canonical(obj):
     if isinstance(obj, bytes):
         return {"__b__": hashlib.sha256(obj).hexdigest()}
     if isinstance(obj, Trace):
-        return {"__trace__": hashlib.sha256(obj.content_key()).hexdigest()}
+        return {"__trace__": trace_fingerprint(obj)}
     raise TypeError(f"cannot fingerprint {type(obj).__name__}")
 
 
@@ -106,7 +106,9 @@ def fingerprint(obj) -> str:
 
 def trace_fingerprint(trace: Trace) -> str:
     """sha256 of a trace's exact content (ops + data volume)."""
-    return hashlib.sha256(trace.content_key()).hexdigest()
+    h = hashlib.sha256()
+    trace.hash_into(h)
+    return h.hexdigest()
 
 
 def sim_key(traces, hw, batch_ops: int = 1,
@@ -130,7 +132,7 @@ def sim_key(traces, hw, batch_ops: int = 1,
     h.update(f"sim:{fingerprint(hw)}:{batch_ops}:"
              f"{int(fastforward)}:{len(traces)}".encode())
     for t in traces:
-        h.update(t.content_key())
+        t.hash_into(h)
     return h.hexdigest()
 
 

@@ -17,11 +17,9 @@ the log, so an acknowledged write survives every crash point and a
 partially applied update can never leave data and parity disagreeing
 (the PM small-write hole).
 
-Performance accounting is optional: hand the store a
-:class:`~repro.libs.base.CodingLibrary` (e.g. ``DialgaEncoder``) and a
-:class:`~repro.simulator.HardwareConfig`, and every encode/decode also
-runs the corresponding workload on the simulated testbed, accumulating
-coding time into :class:`StoreStats`.
+The store codes functionally and keeps no time: simulated coding cost
+is charged by the service that drives it
+(:meth:`~repro.service.service.ErasureCodingService._coding_makespan`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 
 from repro.codes.lrc import LRCCode
 from repro.codes.rs import RSCode
-from repro.libs.base import CodingLibrary
 from repro.pmstore.pmem import CrashPolicy, PersistenceDomain
 from repro.pmstore.wal import (
     OP_DELETE,
@@ -45,8 +42,6 @@ from repro.pmstore.wal import (
     StripeWAL,
     TxIntent,
 )
-from repro.simulator.params import HardwareConfig
-from repro.trace.workload import Workload
 
 
 @dataclass
@@ -61,7 +56,7 @@ class ObjectMeta:
 
 @dataclass
 class StoreStats:
-    """Operational counters, including simulated coding time.
+    """Operational counters.
 
     Counters are applied strictly *after* a transaction's commit
     record is durable, so a crash mid-write never shows up as bytes
@@ -74,8 +69,6 @@ class StoreStats:
     degraded_reads: int = 0
     repairs: int = 0
     blocks_repaired: int = 0
-    encode_ns: float = 0.0
-    decode_ns: float = 0.0
     bytes_written: int = 0
     bytes_read: int = 0
 
@@ -132,12 +125,6 @@ class PMStore:
     lrc_l:
         If set, protect with LRC(k, m, l) instead of RS — single-block
         losses then repair by reading one group only.
-    library:
-        Optional coding library whose simulated performance is charged
-        for every encode/decode (defaults to pure functional coding
-        with no timing).
-    hw:
-        Testbed for the performance model.
     verify_reads:
         Verify checksums (and repair mismatches) before serving reads.
     pm_capacity_bytes, wal_capacity_bytes:
@@ -147,8 +134,6 @@ class PMStore:
 
     def __init__(self, k: int, m: int, block_bytes: int = 4096,
                  lrc_l: int | None = None,
-                 library: CodingLibrary | None = None,
-                 hw: HardwareConfig | None = None,
                  verify_reads: bool = False,
                  pm_capacity_bytes: int = 64 << 20,
                  wal_capacity_bytes: int = 32 << 20):
@@ -156,8 +141,6 @@ class PMStore:
         self.block_bytes = block_bytes
         self.lrc_l = lrc_l
         self.code = LRCCode(k, m, lrc_l) if lrc_l else RSCode(k, m)
-        self.library = library
-        self.hw = hw or HardwareConfig()
         #: Verify checksums (and repair mismatches) before serving reads
         #: — catches silent corruption at read time instead of waiting
         #: for the next scrub, at one CRC pass per get.
@@ -207,22 +190,6 @@ class PMStore:
     def _fire_hooks(self, op: str, key: str) -> None:
         for hook in self.fault_hooks:
             hook(op, key)
-
-    def _charge(self, op: str, stripes: int) -> None:
-        """Charge simulated coding time for ``stripes`` stripe ops."""
-        if self.library is None or stripes == 0:
-            return
-        wl = Workload(
-            k=self.k, m=self.m, block_bytes=self.block_bytes,
-            lrc_l=self.lrc_l if op == "encode" else None,
-            op="encode" if op == "encode" else "decode",
-            erasures=0 if op == "encode" else min(self.m, 1),
-            data_bytes_per_thread=stripes * self.stripe_data_bytes)
-        res = self.library.run(wl, self.hw)
-        if op == "encode":
-            self.stats.encode_ns += res.sim.makespan_ns
-        else:
-            self.stats.decode_ns += res.sim.makespan_ns
 
     # -- stripe management ---------------------------------------------------
 
@@ -396,7 +363,6 @@ class PMStore:
         self._persist_stripe_write(stripe, offset, value, parity)
         self.wal.log_commit(tx.txid, tx.op)
         self._apply_commit(tx)
-        self._charge("encode", 1)
         return self._objects[key]
 
     def update(self, key: str, value: bytes) -> ObjectMeta:
@@ -454,7 +420,6 @@ class PMStore:
                                    np.asarray(parity, dtype=np.uint8))
         self.wal.log_commit(tx.txid, tx.op)
         self._apply_commit(tx)
-        self._charge("encode", 1)
         return self._objects[key]
 
     def get(self, key: str) -> bytes:
@@ -716,9 +681,7 @@ class PMStore:
         stripe = self._stripes[sid]
         blocks = self.blocks_of(sid)
         avail = {i: blocks[i] for i in range(len(blocks)) if i not in erased}
-        out = self.code.decode(avail, erased)
-        self._charge("decode", 1)
-        return out
+        return self.code.decode(avail, erased)
 
     def repair(self, sid: int) -> int:
         """Rebuild every lost block of a stripe; returns how many.

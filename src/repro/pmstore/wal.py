@@ -132,9 +132,8 @@ def _crc(rtype: int, op: int, txid: int, body: bytes) -> int:
 class StripeWAL:
     """Append-only, CRC-checked redo log in a persistence domain."""
 
-    def __init__(self, domain: PersistenceDomain | None = None,
-                 capacity_bytes: int = 32 << 20):
-        self.domain = domain or PersistenceDomain(capacity_bytes)
+    def __init__(self, capacity_bytes: int = 32 << 20):
+        self.domain = PersistenceDomain(capacity_bytes)
         self._head = 0          # volatile append cursor
         self._next_txid = 1     # volatile; recovery resets from scan
 

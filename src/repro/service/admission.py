@@ -44,17 +44,15 @@ class AdmissionController:
         Service stripe geometry.
     pm:
         The PM backend whose read buffer is being protected.
-    d_max:
-        Worst-case software-prefetch distance the kernels may use.
-        Defaults to ``2 * k`` — the buffer-friendly first-line distance
-        the coordinator doubles the base to (§4.3.2).
+
+    The worst-case software-prefetch distance is ``d_max = 2 * k``, the
+    buffer-friendly first-line distance the coordinator doubles the
+    base to (§4.3.2).
     """
 
-    def __init__(self, k: int, m: int, pm: PMConfig, *,
-                 d_max: int | None = None):
+    def __init__(self, k: int, m: int, pm: PMConfig):
         self.k, self.m = k, m
-        self.d_max = d_max if d_max is not None else 2 * k
-        self.capacity_threads = eq1_thread_cap(k, m, self.d_max, pm)
+        self.capacity_threads = eq1_thread_cap(k, m, 2 * k, pm)
         self.active_threads = 0
         #: High-water mark of concurrently admitted threads.
         self.peak_threads = 0

@@ -25,11 +25,16 @@ never thrash the read buffer that foreground traffic depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.obs import get_tracer, use_tracer
 from repro.pmstore.scrubber import Scrubber
 from repro.service.health import HealthMonitor, HealthState
+
+#: Simulated interval between scrub slices.
+SCRUB_PERIOD_NS = 500_000.0
+#: Stripes scanned per scrub slice.
+SCRUB_STRIPES_PER_SLICE = 4
+#: Eq. (1) thread budget one maintenance task reserves.
+MAINTENANCE_THREADS = 1
 
 
 class RepairQueue:
@@ -78,23 +83,18 @@ class RepairQueue:
         return None
 
 
-@dataclass
 class ScrubScheduler:
     """Paces background scrubbing over the simulated clock.
 
-    Every ``period_ns`` the scheduler releases one slice of
-    ``stripes_per_slice`` stripes, walking the store round-robin — a
-    full pass over ``N`` stripes therefore takes
-    ``ceil(N / stripes_per_slice) * period_ns``, independent of load
-    spikes (slices skipped under pressure are made up later).
+    Every ``SCRUB_PERIOD_NS`` the scheduler releases one slice of
+    ``SCRUB_STRIPES_PER_SLICE`` stripes, walking the store round-robin
+    — a full pass over ``N`` stripes therefore takes
+    ``ceil(N / SCRUB_STRIPES_PER_SLICE) * SCRUB_PERIOD_NS``,
+    independent of load spikes (slices skipped under pressure are made
+    up later).
     """
 
-    period_ns: float = 500_000.0
-    stripes_per_slice: int = 4
-
-    def __post_init__(self):
-        if self.period_ns <= 0 or self.stripes_per_slice < 1:
-            raise ValueError("scrub pace must be positive")
+    def __init__(self):
         self._cursor = 0
         self._next_due_ns = 0.0
         self.slices_run = 0
@@ -106,12 +106,12 @@ class ScrubScheduler:
     def next_slice(self, num_stripes: int, now_ns: float) -> list[int]:
         """Claim the next slice of stripe ids (empty store -> empty)."""
         if num_stripes == 0:
-            self._next_due_ns = now_ns + self.period_ns
+            self._next_due_ns = now_ns + SCRUB_PERIOD_NS
             return []
         sids = [(self._cursor + i) % num_stripes
-                for i in range(min(self.stripes_per_slice, num_stripes))]
+                for i in range(min(SCRUB_STRIPES_PER_SLICE, num_stripes))]
         self._cursor = (self._cursor + len(sids)) % num_stripes
-        self._next_due_ns = now_ns + self.period_ns
+        self._next_due_ns = now_ns + SCRUB_PERIOD_NS
         self.slices_run += 1
         return sids
 
@@ -122,27 +122,13 @@ class SelfHealer:
     Attach to a service with :meth:`~repro.service.service.
     ErasureCodingService.attach_healer`; the service then calls
     :meth:`run_window` from its event loop whenever simulated time
-    would otherwise pass idle.
-
-    Parameters
-    ----------
-    monitor:
-        Health monitor (default: one sized to the service's stripe
-        geometry at attach time).
-    scrub:
-        Scrub pacing (default :class:`ScrubScheduler`).
-    maintenance_threads:
-        Eq. (1) thread budget one maintenance task reserves.
+    would otherwise pass idle. Its :class:`HealthMonitor` is sized to
+    the stripe geometry of the first service it is attached to.
     """
 
-    def __init__(self, *, monitor: HealthMonitor | None = None,
-                 scrub: ScrubScheduler | None = None,
-                 maintenance_threads: int = 1):
-        if maintenance_threads < 1:
-            raise ValueError("maintenance needs at least one thread")
-        self.monitor = monitor
-        self.scrub = scrub or ScrubScheduler()
-        self.maintenance_threads = maintenance_threads
+    def __init__(self):
+        self.monitor: HealthMonitor | None = None
+        self.scrub = ScrubScheduler()
         self.repairs = RepairQueue()
         self.service = None
         self._scrubber: Scrubber | None = None
@@ -155,9 +141,9 @@ class SelfHealer:
     def attach(self, service) -> None:
         """Bind to a service (called by ``attach_healer``)."""
         self.service = service
-        devices = service.k + service.store.parity_blocks
         if self.monitor is None:
-            self.monitor = HealthMonitor(devices)
+            self.monitor = HealthMonitor(
+                service.k + service.store.parity_blocks)
         self._scrubber = Scrubber(service.store, metrics=service.metrics)
 
     # -- symptom intake (called from the service's request path) -----------
@@ -238,7 +224,7 @@ class SelfHealer:
         return now
 
     def _admit(self, service) -> bool:
-        return service.admission.try_admit(self.maintenance_threads)
+        return service.admission.try_admit(MAINTENANCE_THREADS)
 
     def _decode_cost_ns(self, service, erasures: int) -> float:
         """Simulated one-stripe decode makespan (memoized, untraced —
@@ -277,7 +263,7 @@ class SelfHealer:
             self.repairs.unrepairable.add(sid)
             service.metrics.inc("repair_unrepairable_stripes")
         finally:
-            service.admission.release(self.maintenance_threads)
+            service.admission.release(MAINTENANCE_THREADS)
         now += cost
         if span is not None:
             span.end(service._ts(now))
@@ -288,7 +274,7 @@ class SelfHealer:
         """Scan one scheduled slice of stripes if it fits the gap."""
         store = service.store
         nblocks = service.k + store.parity_blocks
-        slice_size = min(self.scrub.stripes_per_slice, store.num_stripes)
+        slice_size = min(SCRUB_STRIPES_PER_SLICE, store.num_stripes)
         cost = service._transfer_ns(
             max(1, slice_size) * nblocks * service.block_bytes)
         if now + cost > end_ns or not self._admit(service):
@@ -308,7 +294,7 @@ class SelfHealer:
                 self.repairs.enqueue(sid)
         service.metrics.inc("scrub_stripes_scanned", len(sids))
         service.metrics.inc("scrub_corrupt_blocks", corrupt_found)
-        service.admission.release(self.maintenance_threads)
+        service.admission.release(MAINTENANCE_THREADS)
         now += cost
         if span is not None:
             span.end(service._ts(now), corrupt=corrupt_found)

@@ -8,8 +8,8 @@ global block position — one simulated PM region per position) inside a
 sliding window on the simulated clock, and runs one classic circuit
 breaker per device:
 
-``CLOSED`` --(errors >= trip_threshold in window)--> ``OPEN``
---(cooldown with no new errors)--> ``HALF_OPEN``
+``CLOSED`` --(errors >= TRIP_THRESHOLD in window)--> ``OPEN``
+--(COOLDOWN_NS with no new errors)--> ``HALF_OPEN``
 --(clean probe)--> ``CLOSED``  (a dirty probe re-opens)
 
 While a breaker is OPEN the device is treated as failed: the
@@ -24,6 +24,13 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+
+#: Sliding window over which errors count toward tripping.
+WINDOW_NS = 5e6
+#: Errors within the window that flip CLOSED -> OPEN.
+TRIP_THRESHOLD = 3
+#: Error-free interval after which an OPEN breaker half-opens.
+COOLDOWN_NS = 2e7
 
 
 class HealthState(str, enum.Enum):
@@ -61,24 +68,16 @@ class HealthMonitor:
     ----------
     num_devices:
         Stripe-global block positions (``k + parity_blocks``).
-    window_ns:
-        Sliding window over which errors count toward tripping.
-    trip_threshold:
-        Errors within the window that flip CLOSED -> OPEN.
-    cooldown_ns:
-        Error-free interval after which an OPEN breaker half-opens.
+
+    The breaker timescale is fixed: ``TRIP_THRESHOLD`` errors within
+    ``WINDOW_NS`` trip it, and ``COOLDOWN_NS`` without errors
+    half-opens it.
     """
 
-    def __init__(self, num_devices: int, *, window_ns: float = 5e6,
-                 trip_threshold: int = 3, cooldown_ns: float = 2e7):
+    def __init__(self, num_devices: int):
         if num_devices < 1:
             raise ValueError("need at least one device")
-        if trip_threshold < 1:
-            raise ValueError("trip_threshold must be >= 1")
         self.num_devices = num_devices
-        self.window_ns = float(window_ns)
-        self.trip_threshold = trip_threshold
-        self.cooldown_ns = float(cooldown_ns)
         self._devices = [_DeviceHealth() for _ in range(num_devices)]
         #: Every breaker transition, in simulated-clock order.
         self.transitions: list[HealthTransition] = []
@@ -107,10 +106,10 @@ class HealthMonitor:
         dev.errors.append(now_ns)
         dev.total_errors += 1
         dev.last_error_ns = max(dev.last_error_ns, now_ns)
-        while dev.errors and dev.errors[0] < now_ns - self.window_ns:
+        while dev.errors and dev.errors[0] < now_ns - WINDOW_NS:
             dev.errors.popleft()
         if (dev.state is HealthState.CLOSED
-                and len(dev.errors) >= self.trip_threshold):
+                and len(dev.errors) >= TRIP_THRESHOLD):
             self._transition(device, now_ns, HealthState.OPEN,
                              f"{len(dev.errors)} {kind} errors in window")
         elif dev.state is HealthState.HALF_OPEN:
@@ -130,7 +129,7 @@ class HealthMonitor:
         probes = []
         for device, dev in enumerate(self._devices):
             if (dev.state is HealthState.OPEN
-                    and now_ns - dev.last_error_ns >= self.cooldown_ns):
+                    and now_ns - dev.last_error_ns >= COOLDOWN_NS):
                 self._transition(device, now_ns, HealthState.HALF_OPEN,
                                  "cooldown elapsed")
                 probes.append(device)

@@ -43,87 +43,69 @@ from repro.service.request import BASE_LATENCY_NS, Priority, Request
 #: A batch slower than this many ``target_batch_latency_ns`` reads as
 #: saturated to the brownout state machine.
 BROWNOUT_LATENCY_FACTOR = 3.0
+#: Consecutive saturated completion instants that engage brownout.
+BROWNOUT_ENTER_AFTER = 3
+#: Consecutive clear (not saturated) instants that disengage it.
+BROWNOUT_EXIT_AFTER = 4
+#: Multiplicative AIMD limit factor applied per over-target batch.
+AIMD_DECREASE = 0.5
+#: Floor of the adaptive thread limit (the service must keep moving).
+MIN_CONCURRENCY = 1
+#: Weight of the newest batch in the service-time EWMA.
+EWMA_ALPHA = 0.3
+#: GET-latency quantile (0..1) that arms the hedge timer.
+HEDGE_QUANTILE = 0.95
+#: Hedge-delay floor, also used before enough samples exist.
+HEDGE_MIN_DELAY_NS = 250_000.0
+#: GET latencies observed before the quantile is trusted.
+HEDGE_MIN_SAMPLES = 8
 
 
 @dataclass(frozen=True, kw_only=True)
 class OverloadConfig:
     """Tuning knobs for the overload-control layer (all keyword-only).
 
+    The fixed parts of each controller are module constants: the AIMD
+    decrease and floor, the brownout hysteresis counts, the hedge
+    timer and the EWMA weight.
+
     Attributes
     ----------
-    deadline_admission:
-        Shed deadline-infeasible arrivals at enqueue.
     target_batch_latency_ns:
         Batch service-time target the AIMD controller steers toward.
     aimd_increase:
         Additive thread-limit increase per on-target batch.
-    aimd_decrease:
-        Multiplicative limit factor applied per over-target batch.
-    min_concurrency:
-        Floor of the adaptive limit (the service must keep moving).
     retry_budget_enabled:
         Cap retries with the token bucket (off = unbudgeted retries,
         the metastability counterfactual).
     retry_budget_initial / retry_budget_ratio / retry_budget_cap:
         Token bucket: starting balance, tokens earned per successful
         operation, and balance cap.
-    brownout_enter_pressure / brownout_exit_pressure:
-        Queue-depth fractions (of ``max_queue_depth``) read as
-        saturated / clear.
-    brownout_enter_after / brownout_exit_after:
-        Consecutive saturated / clear observations required to flip
-        the brownout state machine (hysteresis).
-    hedge_quantile:
-        GET-latency quantile (0..1) that arms the hedge timer.
-    hedge_min_delay_ns:
-        Hedge-delay floor, also used before enough samples exist.
-    hedge_min_samples:
-        GET latencies observed before the quantile is trusted.
-    ewma_alpha:
-        Weight of the newest batch in the service-time EWMA.
+    brownout_enter_pressure:
+        Queue-depth fraction (of ``max_queue_depth``) read as
+        saturated. There is no separate exit threshold: an
+        observation is *clear* when it is not saturated.
     """
 
-    deadline_admission: bool = True
     target_batch_latency_ns: float = 8_000_000.0
     aimd_increase: float = 1.0
-    aimd_decrease: float = 0.5
-    min_concurrency: int = 1
     retry_budget_enabled: bool = True
     retry_budget_initial: float = 8.0
     retry_budget_ratio: float = 0.1
     retry_budget_cap: float = 40.0
     brownout_enter_pressure: float = 0.75
-    brownout_exit_pressure: float = 0.25
-    brownout_enter_after: int = 3
-    brownout_exit_after: int = 4
-    hedge_quantile: float = 0.95
-    hedge_min_delay_ns: float = 250_000.0
-    hedge_min_samples: int = 8
-    ewma_alpha: float = 0.3
 
     def __post_init__(self):
         if self.target_batch_latency_ns <= 0:
             raise ValueError("target_batch_latency_ns must be positive")
-        if not 0.0 < self.aimd_decrease < 1.0:
-            raise ValueError("aimd_decrease must be in (0, 1)")
         if self.aimd_increase <= 0:
             raise ValueError("aimd_increase must be positive")
-        if self.min_concurrency < 1:
-            raise ValueError("min_concurrency must be >= 1")
         if (self.retry_budget_initial < 0 or self.retry_budget_ratio < 0
                 or self.retry_budget_cap < self.retry_budget_initial):
             raise ValueError("retry budget needs 0 <= initial <= cap and "
                              "ratio >= 0")
-        if not (0.0 <= self.brownout_exit_pressure
-                <= self.brownout_enter_pressure <= 1.0):
-            raise ValueError("brownout pressures need "
-                             "0 <= exit <= enter <= 1")
-        if self.brownout_enter_after < 1 or self.brownout_exit_after < 1:
-            raise ValueError("brownout hysteresis counts must be >= 1")
-        if not 0.0 < self.hedge_quantile < 1.0:
-            raise ValueError("hedge_quantile must be in (0, 1)")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
+        if not 0.0 <= self.brownout_enter_pressure <= 1.0:
+            raise ValueError("brownout_enter_pressure must be in [0, 1]")
 
 
 class RetryBudget:
@@ -174,27 +156,22 @@ class RetryBudget:
 class ConcurrencyController:
     """AIMD controller over the effective in-flight thread limit.
 
-    The limit lives in ``[min_concurrency, capacity]`` where
+    The limit lives in ``[MIN_CONCURRENCY, capacity]`` where
     ``capacity`` is the Eq. (1) cap — the adaptive limit *composes
     with* the paper's bound, it can only tighten it. Each completed
     batch reports its service latency: on-target batches earn an
     additive increase, over-target batches a multiplicative decrease
-    (the classic TCP-shaped response that keeps the service at the
-    knee instead of oscillating past it).
+    by ``AIMD_DECREASE`` (the classic TCP-shaped response that keeps
+    the service at the knee instead of oscillating past it).
     """
 
     def __init__(self, capacity: int, *, target_ns: float,
-                 increase: float = 1.0, decrease: float = 0.5,
-                 floor: int = 1):
+                 increase: float = 1.0):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if floor < 1 or floor > capacity:
-            raise ValueError(f"floor must be in [1, {capacity}]")
         self.capacity = capacity
         self.target_ns = float(target_ns)
         self.increase = increase
-        self.decrease = decrease
-        self.floor = floor
         self._limit = float(capacity)
         self.increases = 0
         self.decreases = 0
@@ -202,7 +179,7 @@ class ConcurrencyController:
     @property
     def limit(self) -> int:
         """Current effective thread limit (never above the Eq. (1) cap)."""
-        return max(self.floor, min(self.capacity, int(self._limit)))
+        return max(MIN_CONCURRENCY, min(self.capacity, int(self._limit)))
 
     def observe(self, latency_ns: float) -> None:
         """Feed one batch's observed service latency."""
@@ -214,8 +191,8 @@ class ConcurrencyController:
                 self.increases += 1
         else:
             before = self.limit
-            self._limit = max(float(self.floor),
-                              self._limit * self.decrease)
+            self._limit = max(float(MIN_CONCURRENCY),
+                              self._limit * AIMD_DECREASE)
             if self.limit < before:
                 self.decreases += 1
 
@@ -223,18 +200,15 @@ class ConcurrencyController:
 class BrownoutController:
     """Hysteresis state machine: NORMAL <-> BROWNOUT.
 
-    ``enter_after`` consecutive saturated observations engage brownout;
-    ``exit_after`` consecutive clear ones disengage it. While engaged
+    ``BROWNOUT_ENTER_AFTER`` consecutive saturated observations engage
+    brownout; ``BROWNOUT_EXIT_AFTER`` consecutive clear ones disengage
+    it. While engaged
     the service proactively degrades: background work is shed at
     admission and reads skip slow/breaker-open devices through parity
     reconstruction instead of waiting on them.
     """
 
-    def __init__(self, *, enter_after: int = 3, exit_after: int = 4):
-        if enter_after < 1 or exit_after < 1:
-            raise ValueError("hysteresis counts must be >= 1")
-        self.enter_after = enter_after
-        self.exit_after = exit_after
+    def __init__(self):
         self.active = False
         self._saturated_streak = 0
         self._clear_streak = 0
@@ -246,14 +220,14 @@ class BrownoutController:
         if saturated:
             self._saturated_streak += 1
             self._clear_streak = 0
-            if not self.active and self._saturated_streak >= self.enter_after:
+            if not self.active and self._saturated_streak >= BROWNOUT_ENTER_AFTER:
                 self.active = True
                 self.transitions.append((now_ns, "enter"))
                 return "enter"
         else:
             self._clear_streak += 1
             self._saturated_streak = 0
-            if self.active and self._clear_streak >= self.exit_after:
+            if self.active and self._clear_streak >= BROWNOUT_EXIT_AFTER:
                 self.active = False
                 self.transitions.append((now_ns, "exit"))
                 return "exit"
@@ -279,34 +253,28 @@ class OverloadManager:
     quantities explicitly so the manager is unit-testable alone.
     """
 
-    def __init__(self, config: OverloadConfig, *, capacity_threads: int,
-                 base_latency_ns: float = BASE_LATENCY_NS):
+    def __init__(self, config: OverloadConfig, *, capacity_threads: int):
         self.config = config
         self.concurrency = ConcurrencyController(
             capacity_threads,
             target_ns=config.target_batch_latency_ns,
-            increase=config.aimd_increase,
-            decrease=config.aimd_decrease,
-            floor=config.min_concurrency)
+            increase=config.aimd_increase)
         self.retry_budget = RetryBudget(
             initial=config.retry_budget_initial,
             ratio=config.retry_budget_ratio,
             cap=config.retry_budget_cap)
-        self.brownout = BrownoutController(
-            enter_after=config.brownout_enter_after,
-            exit_after=config.brownout_exit_after)
+        self.brownout = BrownoutController()
         #: EWMA of observed batch service time; seeded optimistically
         #: so a cold service never sheds its first arrivals.
-        self.ewma_batch_ns = float(base_latency_ns)
+        self.ewma_batch_ns = BASE_LATENCY_NS
         self.batches_observed = 0
 
     # -- queue-wait estimation / deadline admission -------------------------
 
     def observe_batch(self, latency_ns: float) -> None:
         """Fold one completed batch into the EWMA + AIMD controller."""
-        alpha = self.config.ewma_alpha
-        self.ewma_batch_ns = (alpha * latency_ns
-                              + (1.0 - alpha) * self.ewma_batch_ns)
+        self.ewma_batch_ns = (EWMA_ALPHA * latency_ns
+                              + (1.0 - EWMA_ALPHA) * self.ewma_batch_ns)
         self.batches_observed += 1
         self.concurrency.observe(latency_ns)
 
@@ -334,8 +302,7 @@ class OverloadManager:
         if self.brownout.active and priority is Priority.BACKGROUND:
             return ShedDecision("brownout",
                                 "background work shed while browned out")
-        if (self.config.deadline_admission
-                and math.isfinite(request.deadline_ns)):
+        if math.isfinite(request.deadline_ns):
             est = self.estimate_finish_ns(
                 now_ns, queue_depth=queue_depth, max_batch=max_batch,
                 active_threads=active_threads,
@@ -351,7 +318,8 @@ class OverloadManager:
 
     def pressure_observation(self, *, queue_depth: int, max_queue_depth: int,
                              batch_latency_ns: float) -> bool:
-        """Whether this completion instant reads as *saturated*."""
+        """Whether this completion instant reads as *saturated*; an
+        instant that does not is *clear* to the brownout controller."""
         cfg = self.config
         pressure = queue_depth / max(1, max_queue_depth)
         return (pressure >= cfg.brownout_enter_pressure
@@ -367,9 +335,7 @@ class OverloadManager:
         :class:`~repro.service.metrics.LatencyHistogram` (or None
         before any GET completed).
         """
-        cfg = self.config
-        if (get_histogram is None
-                or get_histogram.count < cfg.hedge_min_samples):
-            return cfg.hedge_min_delay_ns
-        return max(cfg.hedge_min_delay_ns,
-                   get_histogram.percentile(cfg.hedge_quantile * 100.0))
+        if get_histogram is None or get_histogram.count < HEDGE_MIN_SAMPLES:
+            return HEDGE_MIN_DELAY_NS
+        return max(HEDGE_MIN_DELAY_NS,
+                   get_histogram.percentile(HEDGE_QUANTILE * 100.0))

@@ -2,7 +2,8 @@
 
 Backoff is computed on the *simulated* clock (the service has no real
 time), so runs are bit-for-bit reproducible: attempt ``i`` after a
-failure waits ``base_delay_ns * factor**(i - 1)``, capped.
+failure waits ``base_delay_ns * factor**(i - 1)``, capped at
+``MAX_DELAY_NS``.
 
 When many clients hit the same transient-fault window (a *retry
 storm*), identical schedules make every retry land on the same instant
@@ -17,6 +18,9 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
+#: Per-wait cap on the backoff (jittered waits included).
+MAX_DELAY_NS = 10_000_000.0
+
 
 @dataclass(frozen=True, kw_only=True)
 class RetryPolicy:
@@ -28,11 +32,10 @@ class RetryPolicy:
         Total tries including the first (so ``max_attempts - 1``
         retries).
     base_delay_ns:
-        Simulated wait before the first retry.
+        Simulated wait before the first retry; at most
+        ``MAX_DELAY_NS``.
     factor:
         Multiplier per subsequent retry.
-    max_delay_ns:
-        Per-wait cap; must be at least ``base_delay_ns``.
     jitter:
         Fraction of each wait randomized (0 = none, the default; 1 =
         waits spread over [0.5x, 1.5x] of nominal). Deterministic: the
@@ -44,7 +47,6 @@ class RetryPolicy:
     max_attempts: int = 4
     base_delay_ns: float = 100_000.0
     factor: float = 2.0
-    max_delay_ns: float = 10_000_000.0
     jitter: float = 0.0
     seed: int = 0
 
@@ -53,13 +55,10 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.base_delay_ns < 0 or self.factor < 1.0:
             raise ValueError("backoff must be non-negative and non-shrinking")
-        if self.max_delay_ns < 0:
+        if self.base_delay_ns > MAX_DELAY_NS:
             raise ValueError(
-                f"max_delay_ns must be non-negative, got {self.max_delay_ns}")
-        if self.max_delay_ns < self.base_delay_ns:
-            raise ValueError(
-                f"max_delay_ns ({self.max_delay_ns}) must be >= "
-                f"base_delay_ns ({self.base_delay_ns})")
+                f"base_delay_ns ({self.base_delay_ns}) must be <= "
+                f"MAX_DELAY_NS ({MAX_DELAY_NS})")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
@@ -81,8 +80,8 @@ class RetryPolicy:
         if retry < 1:
             raise ValueError("retries are numbered from 1")
         delay = min(self.base_delay_ns * self.factor ** (retry - 1),
-                    self.max_delay_ns)
+                    MAX_DELAY_NS)
         if self.jitter:
             delay = min(delay * self._jitter_factor(retry, token),
-                        self.max_delay_ns)
+                        MAX_DELAY_NS)
         return delay

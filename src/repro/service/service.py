@@ -64,9 +64,6 @@ class ServiceConfig:
     max_queue_depth:
         Queue bound; arrivals beyond it (while at the Eq. (1) cap) are
         rejected.
-    d_max:
-        Worst-case prefetch distance assumed by admission control
-        (default ``2 * k``, the buffer-friendly first-line distance).
     retry:
         Exponential-backoff schedule for transient faults.
     verify_reads:
@@ -84,7 +81,6 @@ class ServiceConfig:
     threads_per_job: int = 1
     max_batch: int = 8
     max_queue_depth: int = 16
-    d_max: int | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     verify_reads: bool = False
     overload: OverloadConfig | None = None
@@ -103,21 +99,19 @@ class ErasureCodingService:
     library:
         Coding library charged for simulated encode/decode time
         (default: a probe-less :class:`DialgaEncoder`). Must match
-        (k, m) or :class:`GeometryMismatch` is raised.
-    hw:
-        Simulated testbed.
+        (k, m) or :class:`GeometryMismatch` is raised. Jobs run on the
+        default :class:`HardwareConfig` testbed.
     config:
         :class:`ServiceConfig` knobs.
     """
 
     def __init__(self, k: int, m: int, *, block_bytes: int = 1024,
                  library: CodingLibrary | None = None,
-                 hw: HardwareConfig | None = None,
                  config: ServiceConfig | None = None):
         self.k, self.m = k, m
         self.block_bytes = block_bytes
         self.config = config or ServiceConfig()
-        self.hw = hw or HardwareConfig()
+        self.hw = HardwareConfig()
         if library is None:
             library = DialgaEncoder(k, m, config=DialgaConfig(
                 use_probe=False, chunks=2))
@@ -129,8 +123,7 @@ class ErasureCodingService:
         self.store = PMStore(k, m, block_bytes=block_bytes,
                              verify_reads=self.config.verify_reads)
         self.queue = RequestQueue(self.config.max_queue_depth)
-        self.admission = AdmissionController(k, m, self.hw.pm,
-                                             d_max=self.config.d_max)
+        self.admission = AdmissionController(k, m, self.hw.pm)
         self.metrics = MetricsRegistry()
         #: Overload-control layer (None unless ``config.overload`` is
         #: set — the hot path stays byte-identical without it).
@@ -138,8 +131,7 @@ class ErasureCodingService:
         if self.config.overload is not None:
             self.overload = OverloadManager(
                 self.config.overload,
-                capacity_threads=self.admission.capacity_threads,
-                base_latency_ns=BASE_LATENCY_NS)
+                capacity_threads=self.admission.capacity_threads)
         #: Devices currently serving slowly: device -> (penalty_ns,
         #: until_ns). Reads touching one pay the penalty unless the
         #: brownout / hedging paths route around it.

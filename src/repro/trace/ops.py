@@ -207,14 +207,24 @@ class Trace:
             out[name] = out.get(name, 0) + 1
         return out
 
+    def _key_head(self) -> bytes:
+        return f"trace:v1:{len(self.opcodes)}:{self.data_bytes}:".encode()
+
     def content_key(self) -> bytes:
         """Raw bytes identifying this trace's exact content.
 
-        Feeds the content-addressed cache: two traces with equal keys
-        simulate identically on equal hardware.
+        Two traces with equal keys simulate identically on equal
+        hardware. The content-addressed cache hashes the same bytes
+        through :meth:`hash_into`, which copies nothing.
         """
-        head = f"trace:v1:{len(self.opcodes)}:{self.data_bytes}:".encode()
-        return head + self.opcodes.tobytes() + self.args.tobytes()
+        return self._key_head() + self.opcodes.tobytes() + self.args.tobytes()
+
+    def hash_into(self, h) -> None:
+        """Feed :meth:`content_key`'s bytes to the hash object ``h``
+        straight from the op arrays' buffers."""
+        h.update(self._key_head())
+        h.update(self.opcodes)
+        h.update(self.args)
 
     # -- pickling (slots) -------------------------------------------------
 

@@ -14,6 +14,7 @@ from repro.obs import (
     replay_decisions,
     use_tracer,
 )
+from repro.parallel import fingerprint
 from repro.simulator import Counters
 
 HW = HardwareConfig()
@@ -218,6 +219,9 @@ def test_audit_scenario_all_checks_pass():
     fig = audit_scenario(seed=0)
     assert fig.all_passed, fig.render()
     assert fig.value("pressure (10 threads)", "switches") >= 1
+    # The whole deterministic output is pinned (see test_scenario_pins.py).
+    assert fingerprint(fig.deterministic()) == (
+        "999aade904c99f9093703b1e5ed2e371b88796e66def088f88ff420e6f8cacbd")
 
 
 @pytest.mark.slow

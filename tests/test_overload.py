@@ -1,8 +1,6 @@
 """Overload control: deadline admission, AIMD concurrency, retry
 budgets, priority shedding, brownout and hedged reads."""
 
-import math
-
 import pytest
 
 from repro.chaos import OVERLOAD_CAMPAIGNS, CampaignEngine
@@ -24,6 +22,13 @@ from repro.service import (
     get_wave,
     put_wave,
 )
+from repro.service.overload import (
+    AIMD_DECREASE,
+    BROWNOUT_ENTER_AFTER,
+    BROWNOUT_EXIT_AFTER,
+    HEDGE_MIN_SAMPLES,
+    MIN_CONCURRENCY,
+)
 from repro.service.request import RequestStatus
 
 
@@ -40,18 +45,11 @@ def _svc(k=4, m=3, *, overload=None, **cfg) -> ErasureCodingService:
 
 def test_overload_config_validates_knobs():
     for bad in (dict(target_batch_latency_ns=0.0),
-                dict(aimd_decrease=1.0),
                 dict(aimd_increase=0.0),
-                dict(min_concurrency=0),
                 dict(retry_budget_initial=10.0, retry_budget_cap=5.0),
-                dict(brownout_enter_pressure=0.2,
-                     brownout_exit_pressure=0.5),
-                dict(brownout_enter_after=0),
-                dict(hedge_quantile=1.0),
-                dict(ewma_alpha=0.0)):
+                dict(brownout_enter_pressure=1.5)):
         with pytest.raises(ValueError):
             _overload(**bad)
-    assert _overload().deadline_admission
 
 
 # --------------------------------------------------------- retry budget
@@ -80,16 +78,15 @@ def test_retry_budget_saturates_at_cap_and_tracks_bound():
 # ------------------------------------------------------------------ aimd
 
 def test_aimd_additive_increase_multiplicative_decrease():
-    c = ConcurrencyController(16, target_ns=100.0, increase=2.0,
-                              decrease=0.5, floor=2)
+    c = ConcurrencyController(16, target_ns=100.0, increase=2.0)
     c._limit = 8.0
     c.observe(50.0)                   # on target -> +2
     assert c.limit == 10 and c.increases == 1
-    c.observe(500.0)                  # over target -> x0.5
-    assert c.limit == 5 and c.decreases == 1
+    c.observe(500.0)                  # over target -> x AIMD_DECREASE
+    assert c.limit == 10 * AIMD_DECREASE == 5 and c.decreases == 1
     for _ in range(10):
         c.observe(500.0)
-    assert c.limit == 2               # clamped at the floor
+    assert c.limit == MIN_CONCURRENCY  # clamped at the floor
     for _ in range(50):
         c.observe(50.0)
     assert c.limit == 16              # clamped at the Eq. (1) capacity
@@ -98,22 +95,23 @@ def test_aimd_additive_increase_multiplicative_decrease():
 def test_aimd_rejects_bad_geometry():
     with pytest.raises(ValueError):
         ConcurrencyController(0, target_ns=1.0)
-    with pytest.raises(ValueError):
-        ConcurrencyController(4, target_ns=1.0, floor=5)
 
 
 # -------------------------------------------------------------- brownout
 
 def test_brownout_hysteresis_enter_and_exit():
-    b = BrownoutController(enter_after=2, exit_after=3)
-    assert b.observe(True, 1.0) is None and not b.active
-    assert b.observe(True, 2.0) == "enter" and b.active
+    assert (BROWNOUT_ENTER_AFTER, BROWNOUT_EXIT_AFTER) == (3, 4)
+    b = BrownoutController()
+    for t in (1.0, 2.0):
+        assert b.observe(True, t) is None and not b.active
+    assert b.observe(True, 3.0) == "enter" and b.active
     # A saturated blip resets the clear streak.
-    assert b.observe(False, 3.0) is None
-    assert b.observe(True, 4.0) is None and b.active
-    for t in (5.0, 6.0):
+    for t in (4.0, 5.0, 6.0):
         assert b.observe(False, t) is None
-    assert b.observe(False, 7.0) == "exit" and not b.active
+    assert b.observe(True, 7.0) is None and b.active
+    for t in (8.0, 9.0, 10.0):
+        assert b.observe(False, t) is None
+    assert b.observe(False, 11.0) == "exit" and not b.active
     assert [kind for _, kind in b.transitions] == ["enter", "exit"]
 
 
@@ -150,8 +148,7 @@ def test_priority_defaults_read_over_write_over_bulk():
 # ------------------------------------------------------ manager / admit
 
 def test_manager_sheds_infeasible_deadline_at_enqueue():
-    mgr = OverloadManager(_overload(), capacity_threads=8,
-                          base_latency_ns=1_000.0)
+    mgr = OverloadManager(_overload(), capacity_threads=8)
     tight = Request.put("a", b"x", deadline_ns=500.0)
     decision = mgr.admit(tight, 0.0, queue_depth=0, max_batch=8,
                          active_threads=0, threads_per_job=1)
@@ -178,8 +175,7 @@ def test_manager_brownout_sheds_background_only():
 
 
 def test_estimate_grows_with_backlog_and_shrinking_limit():
-    mgr = OverloadManager(_overload(), capacity_threads=48,
-                          base_latency_ns=10_000.0)
+    mgr = OverloadManager(_overload(), capacity_threads=48)
     idle = mgr.estimate_finish_ns(0.0, queue_depth=0, max_batch=8,
                                   active_threads=0, threads_per_job=1)
     busy = mgr.estimate_finish_ns(0.0, queue_depth=30, max_batch=8,
@@ -266,11 +262,12 @@ def test_successes_refill_the_retry_budget():
 
 
 def test_slow_device_hedge_wins_and_caps_tail():
-    overload = _overload(hedge_min_delay_ns=1_000.0, hedge_min_samples=1)
-    svc = _svc(overload=overload)
+    svc = _svc(overload=_overload())
     svc.submit_many(put_wave(6, 2, payload_bytes=600, seed=1))
     svc.submit_many(get_wave(6, 2, start_ns=1e6, seed=2))
     svc.drain()
+    # Enough GETs completed for the hedge timer to trust its quantile.
+    assert svc.metrics.latency["get"].count >= HEDGE_MIN_SAMPLES
     svc.set_device_slow(1, penalty_ns=5e6)
     svc.submit_many(get_wave(6, 2, start_ns=svc.clock_ns + 10.0, seed=3))
     results = svc.drain()
@@ -313,8 +310,6 @@ def test_brownout_cycle_emits_counters_and_transitions():
             max_queue_depth=32, max_batch=8,
             retry=RetryPolicy(max_attempts=8, base_delay_ns=1e6, seed=0),
             overload=_overload(target_batch_latency_ns=200_000.0,
-                               brownout_enter_after=3,
-                               brownout_exit_after=4,
                                brownout_enter_pressure=0.6)))
     report = engine.run()
     svc = engine.service
@@ -340,9 +335,13 @@ def test_no_overload_config_means_byte_identical_legacy_behavior():
 
 
 def test_deadline_misses_counted_for_completed_but_late_requests():
-    overload = _overload(deadline_admission=False)  # let them through
-    svc = _svc(overload=overload)
-    svc.submit(Request.put("late", b"z" * 600, deadline_ns=1.0))
+    svc = _svc(overload=_overload())
+    # A deadline just past the admission estimate lets the put through;
+    # its encode job then makes it complete late.
+    estimate = svc.overload.estimate_finish_ns(
+        0.0, queue_depth=0, max_batch=svc.config.max_batch,
+        active_threads=0, threads_per_job=svc.config.threads_per_job)
+    svc.submit(Request.put("late", b"z" * 600, deadline_ns=estimate))
     (res,) = svc.drain()
     assert res.ok                       # completed, but past deadline
     assert svc.metrics.counters["deadline_misses"] == 1

@@ -50,10 +50,7 @@ def _build(case):
         retry_budget_initial=budget_initial,
         retry_budget_ratio=budget_ratio,
         retry_budget_cap=budget_initial + 4.0,
-        brownout_enter_after=2,
-        brownout_exit_after=2,
-        brownout_enter_pressure=0.5,
-        hedge_min_samples=2)
+        brownout_enter_pressure=0.5)
     svc = ErasureCodingService(
         4, 2, block_bytes=256,
         config=ServiceConfig(

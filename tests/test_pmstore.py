@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import DialgaConfig, DialgaEncoder
 from repro.pmstore import FaultInjector, PMStore, Scrubber
 
 
@@ -230,24 +229,6 @@ def test_scrub_counts_mix_of_lost_and_corrupt():
     FaultInjector(s, seed=7).bit_flip(stripe=0, block=0)
     report = Scrubber(s).scrub()
     assert report.repaired_blocks == 2
-
-
-# -- performance accounting ----------------------------------------------------------
-
-def test_store_charges_simulated_coding_time():
-    lib = DialgaEncoder(4, 2, config=DialgaConfig(use_probe=False))
-    s = PMStore(4, 2, block_bytes=1024, library=lib)
-    s.put("obj", b"timed" * 100)
-    assert s.stats.encode_ns > 0
-    s.mark_lost(0, 0)
-    s.repair(0)
-    assert s.stats.decode_ns > 0
-
-
-def test_store_without_library_charges_nothing():
-    s = _store()
-    s.put("obj", b"free")
-    assert s.stats.encode_ns == 0.0
 
 
 # -- sharded objects -----------------------------------------------------------

@@ -13,16 +13,21 @@ from repro.service import (
     SelfHealer,
     ServiceConfig,
 )
-from repro.service.healing import RepairQueue, ScrubScheduler
+from repro.service.healing import (
+    SCRUB_PERIOD_NS,
+    SCRUB_STRIPES_PER_SLICE,
+    RepairQueue,
+    ScrubScheduler,
+)
+from repro.service.health import COOLDOWN_NS, TRIP_THRESHOLD, WINDOW_NS
+from repro.service.retry import MAX_DELAY_NS
 
 # -- RetryPolicy validation + jitter (satellite 1) --------------------------
 
 
 def test_retry_policy_rejects_bad_max_delay():
-    with pytest.raises(ValueError, match="max_delay_ns"):
-        RetryPolicy(max_delay_ns=-1.0)
-    with pytest.raises(ValueError, match="max_delay_ns"):
-        RetryPolicy(base_delay_ns=1000.0, max_delay_ns=500.0)
+    with pytest.raises(ValueError, match="MAX_DELAY_NS"):
+        RetryPolicy(base_delay_ns=2 * MAX_DELAY_NS)
 
 
 def test_retry_policy_rejects_bad_jitter():
@@ -34,7 +39,7 @@ def test_retry_policy_rejects_bad_jitter():
 
 def test_jitter_is_deterministic_and_bounded():
     policy = RetryPolicy(jitter=1.0, seed=7, base_delay_ns=1000.0,
-                         factor=1.0, max_delay_ns=10_000.0)
+                         factor=1.0)
     for token in range(20):
         d1 = policy.delay_ns(1, token=token)
         assert d1 == policy.delay_ns(1, token=token)   # reproducible
@@ -48,24 +53,34 @@ def test_jitter_desynchronizes_tokens():
 
 
 def test_zero_jitter_keeps_exact_schedule():
-    policy = RetryPolicy(base_delay_ns=100.0, factor=2.0,
-                         max_delay_ns=350.0)
+    assert MAX_DELAY_NS == 1e7
+    policy = RetryPolicy(base_delay_ns=3e6, factor=2.0)
     assert [policy.delay_ns(i, token=99) for i in (1, 2, 3)] == \
-        [100.0, 200.0, 350.0]
-    assert sum(policy.delay_ns(i) for i in (1, 2, 3)) == 650.0
+        [3e6, 6e6, 1e7]
+    assert sum(policy.delay_ns(i) for i in (1, 2, 3)) == 1.9e7
 
 
 def test_jitter_respects_max_delay_cap():
-    policy = RetryPolicy(jitter=1.0, base_delay_ns=1000.0,
-                         max_delay_ns=1000.0)
-    assert all(policy.delay_ns(1, token=t) <= 1000.0 for t in range(50))
+    policy = RetryPolicy(jitter=1.0, base_delay_ns=MAX_DELAY_NS)
+    assert all(policy.delay_ns(1, token=t) <= MAX_DELAY_NS
+               for t in range(50))
 
 
 # -- HealthMonitor state machine --------------------------------------------
 
 
+def _tripped(num_devices, device, at_ns):
+    """A monitor whose ``device`` breaker tripped at ``at_ns``."""
+    mon = HealthMonitor(num_devices)
+    for _ in range(TRIP_THRESHOLD):
+        mon.record_error(device, at_ns)
+    assert mon.state(device) is HealthState.OPEN
+    return mon
+
+
 def test_breaker_trips_after_threshold_in_window():
-    mon = HealthMonitor(6, window_ns=1000.0, trip_threshold=3)
+    assert TRIP_THRESHOLD == 3
+    mon = HealthMonitor(6)
     assert mon.record_error(0, 10.0) is HealthState.CLOSED
     assert mon.record_error(0, 20.0) is HealthState.CLOSED
     assert mon.record_error(0, 30.0) is HealthState.OPEN
@@ -73,50 +88,42 @@ def test_breaker_trips_after_threshold_in_window():
 
 
 def test_stale_errors_fall_out_of_window():
-    mon = HealthMonitor(6, window_ns=100.0, trip_threshold=3)
+    mon = HealthMonitor(6)
     mon.record_error(1, 0.0)
     mon.record_error(1, 10.0)
     # Third error arrives after the first two expired: no trip.
-    assert mon.record_error(1, 500.0) is HealthState.CLOSED
+    assert mon.record_error(1, 10.0 + WINDOW_NS + 1.0) is HealthState.CLOSED
 
 
 def test_cooldown_half_open_then_clean_probe_closes():
-    mon = HealthMonitor(4, window_ns=100.0, trip_threshold=1,
-                        cooldown_ns=1000.0)
-    mon.record_error(2, 0.0)
-    assert mon.state(2) is HealthState.OPEN
-    assert mon.tick(500.0) == []            # cooldown not elapsed
-    assert mon.tick(1000.0) == [2]          # half-opens
-    mon.probe_result(2, 1001.0, clean=True)
+    mon = _tripped(4, 2, 0.0)
+    assert mon.tick(COOLDOWN_NS / 2) == []  # cooldown not elapsed
+    assert mon.tick(COOLDOWN_NS) == [2]     # half-opens
+    mon.probe_result(2, COOLDOWN_NS + 1.0, clean=True)
     assert mon.state(2) is HealthState.CLOSED
-    assert mon.mttr_ns() == [1001.0]
+    assert mon.mttr_ns() == [COOLDOWN_NS + 1.0]
 
 
 def test_dirty_probe_reopens_and_mttr_spans_flapping():
-    mon = HealthMonitor(4, window_ns=100.0, trip_threshold=1,
-                        cooldown_ns=100.0)
-    mon.record_error(0, 0.0)
-    mon.tick(100.0)
-    mon.probe_result(0, 110.0, clean=False)     # dirty: back to OPEN
+    mon = _tripped(4, 0, 0.0)
+    mon.tick(COOLDOWN_NS)
+    mon.probe_result(0, COOLDOWN_NS + 10.0, clean=False)  # back to OPEN
     assert mon.state(0) is HealthState.OPEN
-    mon.tick(210.0)
-    mon.probe_result(0, 220.0, clean=True)
+    mon.tick(2 * COOLDOWN_NS + 10.0)
+    mon.probe_result(0, 2 * COOLDOWN_NS + 20.0, clean=True)
     # One incident, measured from the first OPEN.
-    assert mon.mttr_ns() == [220.0]
+    assert mon.mttr_ns() == [2 * COOLDOWN_NS + 20.0]
 
 
 def test_error_while_half_open_reopens():
-    mon = HealthMonitor(4, window_ns=100.0, trip_threshold=1,
-                        cooldown_ns=100.0)
-    mon.record_error(3, 0.0)
-    mon.tick(100.0)
+    mon = _tripped(4, 3, 0.0)
+    mon.tick(COOLDOWN_NS)
     assert mon.state(3) is HealthState.HALF_OPEN
-    assert mon.record_error(3, 105.0) is HealthState.OPEN
+    assert mon.record_error(3, COOLDOWN_NS + 5.0) is HealthState.OPEN
 
 
 def test_monitor_summary_shape():
-    mon = HealthMonitor(4, trip_threshold=1)
-    mon.record_error(1, 5.0)
+    mon = _tripped(4, 1, 5.0)
     mon.record_transient(6.0)
     s = mon.summary()
     assert s["devices"]["1"]["state"] == "open"
@@ -127,8 +134,6 @@ def test_monitor_summary_shape():
 def test_monitor_validates():
     with pytest.raises(ValueError):
         HealthMonitor(0)
-    with pytest.raises(ValueError):
-        HealthMonitor(4, trip_threshold=0)
 
 
 # -- RepairQueue / ScrubScheduler -------------------------------------------
@@ -166,34 +171,25 @@ def test_repair_queue_skips_healed_and_unrepairable():
 
 
 def test_scrub_scheduler_paces_and_wraps():
-    sched = ScrubScheduler(period_ns=100.0, stripes_per_slice=3)
+    assert SCRUB_STRIPES_PER_SLICE == 4
+    period = SCRUB_PERIOD_NS
+    sched = ScrubScheduler()
     assert sched.due(0.0)
-    assert sched.next_slice(5, 0.0) == [0, 1, 2]
-    assert not sched.due(50.0)
-    assert sched.due(100.0)
-    assert sched.next_slice(5, 100.0) == [3, 4, 0]   # round-robin wrap
-    assert sched.next_slice(0, 200.0) == []
-
-
-def test_scrub_scheduler_validates():
-    with pytest.raises(ValueError):
-        ScrubScheduler(period_ns=0.0)
-    with pytest.raises(ValueError):
-        ScrubScheduler(stripes_per_slice=0)
+    assert sched.next_slice(6, 0.0) == [0, 1, 2, 3]
+    assert not sched.due(period / 2)
+    assert sched.due(period)
+    assert sched.next_slice(6, period) == [4, 5, 0, 1]  # round-robin wrap
+    assert sched.next_slice(0, 2 * period) == []
 
 
 # -- SelfHealer end-to-end ---------------------------------------------------
 
 
-def _healing_service(trip_threshold=2):
+def _healing_service():
     svc = ErasureCodingService(
         4, 3, block_bytes=256,
         config=ServiceConfig(max_queue_depth=16, max_batch=4))
-    healer = SelfHealer(
-        monitor=HealthMonitor(4 + 3, window_ns=1e7,
-                              trip_threshold=trip_threshold,
-                              cooldown_ns=5e6),
-        scrub=ScrubScheduler(period_ns=100_000.0, stripes_per_slice=2))
+    healer = SelfHealer()
     svc.attach_healer(healer)
     return svc, healer
 
@@ -247,7 +243,7 @@ def test_breaker_recovery_closes_after_repairs():
 
 
 def test_trip_refuses_isolation_past_parity_budget():
-    svc, healer = _healing_service(trip_threshold=1)
+    svc, healer = _healing_service()
     svc.submit_many([Request.put(f"k{i}", bytes([i]) * 700,
                                  arrival_ns=float(i)) for i in range(6)])
     svc.drain()
@@ -255,7 +251,9 @@ def test_trip_refuses_isolation_past_parity_budget():
     # would exceed the budget, so the trip must refuse.
     for block in range(svc.store.m):
         svc.store.mark_lost(0, block)
-    healer.on_corruption(0, svc.store.m, now_ns=svc.clock_ns)
+    for _ in range(TRIP_THRESHOLD):
+        healer.on_corruption(0, svc.store.m, now_ns=svc.clock_ns)
+    assert svc.metrics.count("health_trips") == 1
     assert svc.metrics.count("health_isolation_refused") == 1
     assert svc.store.m not in svc.store.lost_devices
 
@@ -275,8 +273,3 @@ def test_background_scrub_finds_silent_corruption_and_counts_it():
     text = prometheus_text(svc.metrics)
     assert "scrub_corrupt_blocks" in text
     assert "repair_blocks_rebuilt" in text
-
-
-def test_healer_requires_positive_thread_budget():
-    with pytest.raises(ValueError):
-        SelfHealer(maintenance_threads=0)

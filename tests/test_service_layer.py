@@ -10,7 +10,6 @@ from repro.libs import GeometryMismatch
 from repro.pmstore import FaultInjector, TransientFault
 from repro.service import (
     AdmissionController,
-    Batch,
     BatchKey,
     ErasureCodingService,
     LatencyHistogram,
@@ -24,6 +23,7 @@ from repro.service import (
     get_wave,
     put_wave,
 )
+from repro.service.retry import MAX_DELAY_NS
 from repro.simulator.params import PMConfig
 
 
@@ -87,7 +87,7 @@ def test_eq1_thread_cap_validates():
 
 
 def test_admission_controller_accounting():
-    ac = AdmissionController(8, 4, PMConfig())  # d_max=16 -> cap 24
+    ac = AdmissionController(8, 4, PMConfig())  # d_max=2k=16 -> cap 24
     assert ac.capacity_threads == 24
     assert ac.try_admit(20) and ac.try_admit(4)
     assert ac.at_capacity and not ac.try_admit(1)
@@ -102,11 +102,10 @@ def test_admission_controller_accounting():
 # --------------------------------------------------------------- retry
 
 def test_retry_policy_backoff_schedule():
-    p = RetryPolicy(max_attempts=5, base_delay_ns=100.0, factor=2.0,
-                    max_delay_ns=350.0)
-    assert [p.delay_ns(i) for i in (1, 2, 3, 4)] == [100.0, 200.0, 350.0,
-                                                     350.0]
-    assert sum(p.delay_ns(i) for i in (1, 2, 3)) == 650.0
+    p = RetryPolicy(max_attempts=5, base_delay_ns=3e6, factor=2.0)
+    assert [p.delay_ns(i) for i in (1, 2, 3, 4)] == [3e6, 6e6, MAX_DELAY_NS,
+                                                     MAX_DELAY_NS]
+    assert sum(p.delay_ns(i) for i in (1, 2, 3)) == 1.9e7
 
 
 def test_retry_policy_validates():

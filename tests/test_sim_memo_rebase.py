@@ -10,17 +10,24 @@ grain finer than the page fails it: the streamer's pages are then cut
 at other lines.
 """
 
+import hashlib
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from repro import DialgaEncoder, HardwareConfig, Workload
 from repro.libs import ISAL
-from repro.parallel import SimCache, sim_cache, sim_key
+from repro.parallel import (
+    SimCache,
+    fingerprint,
+    sim_cache,
+    sim_key,
+    trace_fingerprint,
+)
 from repro.parallel.cache import rebased
 from repro.simulator import multicore
 from repro.simulator.params import CacheConfig
-from repro.trace.ops import COMPUTE, FENCE, LOAD, STORE, SWPF, Trace
+from repro.trace.ops import COMPUTE, FENCE, LOAD, STORE, SWPF, Trace, tile
 
 from tests.reference_interpreter import assert_identical
 
@@ -226,3 +233,24 @@ def test_sim_key_still_hashes_exact_content():
     moved = _shifted(trace, 4096)
     assert sim_key([moved], hw) != sim_key([trace], hw)
     assert _key([moved], hw) == _key([trace], hw)
+
+
+def test_sim_key_hashes_the_concatenated_content_keys():
+    """``sim_key`` feeds the op arrays' buffers to sha256 piecewise; the
+    digest equals hashing the header plus every ``content_key()``."""
+    hw = HardwareConfig()
+    kernel = Trace(ops=[(LOAD, 0.0), (COMPUTE, 3.0), (SWPF, 4096.0),
+                        (STORE, 8192.0), (FENCE, 0.0)], data_bytes=64)
+    tiled = tile(kernel, 5, 3 * 4096, first_stripe=2)
+    isal = ISAL(8, 4).trace(Workload(k=8, m=4,
+                                     data_bytes_per_thread=2 * 8 * 1024),
+                            hw, 0)
+    for traces, batch_ops, ff in (([tiled], 1, False),
+                                  ([kernel, tiled, isal], 1, True)):
+        blob = (f"sim:{fingerprint(hw)}:{batch_ops}:{int(ff)}:"
+                f"{len(traces)}".encode()
+                + b"".join(t.content_key() for t in traces))
+        assert (sim_key(traces, hw, batch_ops, ff)
+                == hashlib.sha256(blob).hexdigest())
+    assert (trace_fingerprint(tiled)
+            == hashlib.sha256(tiled.content_key()).hexdigest())
