@@ -67,14 +67,6 @@ class GF:
 
     def div(self, a, b):
         """Field division ``a / b``. Raises ZeroDivisionError on b=0."""
-        if type(b) is int and isinstance(a, np.ndarray) \
-                and self.tables.mul is not None:
-            # Scalar divisor over an array (the schedule searchers'
-            # column normalization): one table gather, skipping the
-            # asarray/any round-trips. Same tables, same values.
-            if b == 0:
-                raise ZeroDivisionError("division by zero in GF(2^w)")
-            return self.tables.mul[a, self.tables.inv[b]]
         a = np.asarray(a, dtype=self.dtype)
         b = np.asarray(b, dtype=self.dtype)
         if np.any(b == 0):

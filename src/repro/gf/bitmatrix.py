@@ -31,6 +31,25 @@ def element_bitmatrix(field: GF, e: int) -> np.ndarray:
     return M
 
 
+#: Popcount tables built so far, by (w, polynomial); read-only.
+_ELEMENT_ONES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def element_ones(field: GF) -> np.ndarray:
+    """``ones[e]`` = popcount of ``element_bitmatrix(field, e)``, the
+    summed bits of ``e * 2^j`` over ``j < w``; built once per field on
+    first use, shared and read-only."""
+    key = (field.w, field.tables.poly)
+    ones = _ELEMENT_ONES.get(key)
+    if ones is None:
+        e = np.arange(field.order, dtype=field.dtype)
+        ones = sum(np.bitwise_count(field.mul(e, 1 << j)).astype(np.int64)
+                   for j in range(field.w))
+        ones.flags.writeable = False
+        _ELEMENT_ONES[key] = ones
+    return ones
+
+
 def matrix_to_bitmatrix(field: GF, A: np.ndarray) -> np.ndarray:
     """Expand an ``r x c`` GF matrix into an ``r*w x c*w`` binary matrix.
 

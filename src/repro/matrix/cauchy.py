@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gf.arithmetic import GF
-from repro.gf.bitmatrix import element_bitmatrix
+from repro.gf.bitmatrix import element_ones
 
 
 def cauchy_matrix(field: GF, x_points, y_points) -> np.ndarray:
@@ -56,38 +56,33 @@ def systematic_cauchy(field: GF, k: int, m: int) -> np.ndarray:
     return G
 
 
-def _element_ones(field: GF, e: int, cache: dict[int, int]) -> int:
-    if e not in cache:
-        cache[e] = int(element_bitmatrix(field, e).sum())
-    return cache[e]
+#: Products per divisor block in :func:`optimize_cauchy_ones` (a few MB
+#: in GF(2^16)).
+_DIVISOR_BLOCK = 1 << 16
 
 
 def optimize_cauchy_ones(field: GF, parity: np.ndarray) -> np.ndarray:
     """Reduce total bitmatrix ones of a Cauchy parity block by scaling.
 
     Dividing any row (or column) by a nonzero constant preserves the
-    MDS property. We first normalize each column by its first entry,
-    then greedily rescale each row by the divisor minimizing that row's
-    bit weight — Jerasure's ``cauchy_xy_coding_matrix`` improvement.
+    MDS property. We first normalize each column by its nonzero first
+    entry, then rescale each row by the first divisor minimizing that
+    row's bit weight — Jerasure's ``cauchy_xy_coding_matrix`` improvement.
     """
     P = np.array(parity, dtype=field.dtype, copy=True)
     m, k = P.shape
-    cache: dict[int, int] = {}
+    ones = element_ones(field)
     # Column scaling: make row 0 all ones.
-    for j in range(k):
-        d = int(P[0, j])
-        if d not in (0, 1):
-            P[:, j] = field.div(P[:, j], d)
-    # Greedy row scaling.
+    nz = P[0] != 0
+    P[:, nz] = field.div(P[:, nz], P[0, nz])
+    # Row scaling: weigh all divisors d = 1.. at once; argmin keeps d = 1
+    # on a tie.
+    step = max(1, _DIVISOR_BLOCK // max(k, 1))
+    w = np.empty(field.order - 1, dtype=np.int64)
     for i in range(1, m):
-        best_div, best_w = 1, sum(
-            _element_ones(field, int(e), cache) for e in P[i]
-        )
-        for d in range(2, field.order):
-            row = field.div(P[i], d)
-            w = sum(_element_ones(field, int(e), cache) for e in row)
-            if w < best_w:
-                best_div, best_w = d, w
-        if best_div != 1:
-            P[i] = field.div(P[i], best_div)
+        for lo in range(0, field.order - 1, step):
+            divs = np.arange(lo + 1, min(lo + 1 + step, field.order),
+                             dtype=field.dtype)
+            w[lo:lo + step] = ones[field.div(P[i], divs[:, None])].sum(axis=1)
+        P[i] = field.div(P[i], 1 + int(np.argmin(w)))
     return P

@@ -59,6 +59,7 @@ import pickle
 from array import array
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,6 +112,11 @@ def trace_fingerprint(trace: Trace) -> str:
     return h.hexdigest()
 
 
+#: fingerprint(hw) memoized by the frozen config; equal configs share
+#: one (``300`` where another holds ``300.0`` included).
+_hw_fingerprint = lru_cache(maxsize=64)(fingerprint)
+
+
 def sim_key(traces, hw, batch_ops: int = 1,
             fastforward: bool = False) -> str:
     """Cache key for ``simulate(traces, hw, fastforward=fastforward)``
@@ -129,7 +135,7 @@ def sim_key(traces, hw, batch_ops: int = 1,
     ``SimResult.fastforward`` stats differ between the two paths.
     """
     h = hashlib.sha256()
-    h.update(f"sim:{fingerprint(hw)}:{batch_ops}:"
+    h.update(f"sim:{_hw_fingerprint(hw)}:{batch_ops}:"
              f"{int(fastforward)}:{len(traces)}".encode())
     for t in traces:
         t.hash_into(h)

@@ -11,10 +11,15 @@ matrix search space is too large for its search algorithm to converge";
 we reproduce this honestly with a fixed evaluation budget — the result
 carries a ``converged`` flag and wide stripes exhaust the budget while
 still improving.
+
+An evaluation is two gathers and a sum over the shared
+:func:`~repro.gf.bitmatrix.element_ones` table; moves draw from a
+sorted list of unused elements kept up to date, not rebuilt.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gf.arithmetic import GF
-from repro.gf.bitmatrix import element_bitmatrix
-from repro.matrix.cauchy import cauchy_matrix
+from repro.gf.bitmatrix import element_ones
+from repro.matrix.cauchy import optimize_cauchy_ones
 
 
 @dataclass
@@ -53,21 +58,13 @@ class AnnealResult:
     evaluations: int
 
 
-def _ones_cache(field: GF) -> np.ndarray:
-    """Bit weight of each field element's w x w bitmatrix."""
-    return np.array(
-        [int(element_bitmatrix(field, e).sum()) for e in range(field.order)],
-        dtype=np.int64,
-    )
-
-
 def _energy(field: GF, ones: np.ndarray, x: list[int], y: list[int]) -> tuple[int, np.ndarray]:
-    P = cauchy_matrix(field, x, y)
-    # Column normalization (divide by row-0 entry) is free and always helps.
-    for j in range(P.shape[1]):
-        d = int(P[0, j])
-        if d not in (0, 1):
-            P[:, j] = field.div(P[:, j], d)
+    # Cauchy matrix (points disjoint by construction), each column
+    # divided by its row-0 entry: free scaling that always helps.
+    t = field.tables
+    P = t.inv[np.bitwise_xor.outer(np.array(x, field.dtype),
+                                   np.array(y, field.dtype))]
+    P = field.div(P, P[0]) if t.mul is None else t.mul[P, t.inv[P[0]]]
     return int(ones[P].sum()), P
 
 
@@ -97,9 +94,10 @@ def anneal_cauchy_points(field: GF, k: int, m: int, *,
     if k + m > field.order:
         raise ValueError(f"k+m={k+m} exceeds field order")
     rng = random.Random(seed)
-    ones = _ones_cache(field)
+    ones = element_ones(field)
     y = list(range(k))
     x = list(range(k, k + m))
+    unused = list(range(k + m, field.order))  # kept sorted
     energy, parity = _energy(field, ones, x, y)
     best = AnnealResult(list(x), list(y), parity, energy, False, 1)
     temp = t0
@@ -107,18 +105,18 @@ def anneal_cauchy_points(field: GF, k: int, m: int, *,
     evals = 1
     while evals < budget and since_improve < plateau:
         # Move: swap one point (from x or y) for an unused field element.
-        used = set(x) | set(y)
-        candidates = [e for e in range(field.order) if e not in used]
-        if not candidates:
+        if not unused:
             break
         side, idx = (x, rng.randrange(m)) if rng.random() < 0.5 else (y, rng.randrange(k))
         old = side[idx]
-        side[idx] = rng.choice(candidates)
+        side[idx] = new = rng.choice(unused)
         new_energy, new_parity = _energy(field, ones, x, y)
         evals += 1
         delta = new_energy - energy
         if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
             energy = new_energy
+            unused.remove(new)
+            bisect.insort(unused, old)
             if energy < best.energy:
                 best = AnnealResult(list(x), list(y), new_parity, energy, False, evals)
                 since_improve = 0
@@ -134,7 +132,6 @@ def anneal_cauchy_points(field: GF, k: int, m: int, *,
     # Final deterministic polish: the same row-scaling normalization the
     # greedy search applies (dividing a parity row by a constant
     # preserves MDS and often sheds bitmatrix ones).
-    from repro.matrix.cauchy import optimize_cauchy_ones
     best.parity = optimize_cauchy_ones(field, best.parity)
     best.energy = int(ones[best.parity].sum())
     return best

@@ -121,6 +121,23 @@ def test_auditor_clean_report():
 # -- engine runs -------------------------------------------------------------
 
 
+def test_settle_grants_two_ms_windows_until_healed():
+    # Healed after the third maintenance window: the settle instant is
+    # the start (1 ms) plus three SETTLE_WINDOW_NS = 2 ms windows.
+    from types import SimpleNamespace
+    windows = []
+    store = SimpleNamespace(
+        stripes_with_losses=lambda: [0] if len(windows) < 3 else [])
+    engine = CampaignEngine(single_device_loss(seed=0))
+    engine.service = SimpleNamespace(store=store, clock_ns=1e6,
+                                     run_maintenance=windows.append)
+    engine.healer = SimpleNamespace(
+        backlog=lambda: 0,
+        monitor=SimpleNamespace(open_devices=lambda: []))
+    assert engine._settle() == 7e6
+    assert windows == [3e6, 5e6, 7e6]
+
+
 def test_single_device_loss_campaign_self_heals():
     report = CampaignEngine(single_device_loss(seed=0)).run()
     assert report.durability_clean

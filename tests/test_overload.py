@@ -174,6 +174,17 @@ def test_manager_brownout_sheds_background_only():
                      active_threads=0, threads_per_job=1) is None
 
 
+def test_observe_batch_folds_latencies_into_the_ewma():
+    # EWMA_ALPHA = 0.3, folded by hand from a 1 us estimate.
+    mgr = OverloadManager(_overload(), capacity_threads=8)
+    mgr.ewma_batch_ns = 1_000.0
+    mgr.observe_batch(2_000.0)     # 0.3 * 2000 + 0.7 * 1000
+    assert mgr.ewma_batch_ns == pytest.approx(1_300.0, rel=1e-12)
+    mgr.observe_batch(11_300.0)    # 0.3 * 11300 + 0.7 * 1300
+    assert mgr.ewma_batch_ns == pytest.approx(4_300.0, rel=1e-12)
+    assert mgr.batches_observed == 2
+
+
 def test_estimate_grows_with_backlog_and_shrinking_limit():
     mgr = OverloadManager(_overload(), capacity_threads=48)
     idle = mgr.estimate_finish_ns(0.0, queue_depth=0, max_batch=8,

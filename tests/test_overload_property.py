@@ -1,14 +1,22 @@
 """Property-based tests: the overload layer's two load-bearing
-invariants under arbitrary fault schedules and traffic shapes.
+invariants under arbitrary transient-fault schedules, retry budgets,
+deadlines and slow devices.
 
 1. **Retry spend is budget-bounded**: whatever transient-fault storm
    hits the service, lifetime retries spent never exceed
    ``initial + ratio * successes`` — retries cannot amplify beyond the
    service's own goodput.
 2. **Acked bytes stay readable**: every PUT the service *completed*
-   (across shedding, brownout, degraded serving and slow devices)
-   reads back bit-exactly afterwards — graceful degradation never
+   reads back bit-exactly afterwards, through verified reads hedged
+   around the slow device when one is drawn — degraded serving never
    trades away durability.
+
+What the drawn cases reach: over 200 derandomized examples, 49 retried
+a transient fault and 110 hedged a read-back around the slow device,
+but none shed a request or entered brownout (the put-only first drain
+never saturates the service). Deadline shedding, brownout and its
+degraded reads are covered by the example tests in
+``tests/test_overload.py``.
 """
 
 import math
@@ -100,8 +108,8 @@ def test_every_acked_byte_reads_back_across_overload(case):
     acked = {r.request.key: r.request.payload
              for r in results
              if r.ok and r.request.kind is RequestKind.PUT}
-    # Read everything back *through the service* (hedges, brownout and
-    # slow-device routing included) after the fault storm passes —
+    # Read everything back *through the service* (hedged around a slow
+    # device) after the fault storm passes —
     # durability is about the bytes surviving the episode, not about
     # reads succeeding while transient faults still rage.
     svc.store.fault_hooks.clear()

@@ -275,6 +275,25 @@ def test_sim_key_depends_on_hardware_and_batching():
     assert k0 != sim_key([trace, trace], hw)
 
 
+def test_sim_key_hardware_memo_keeps_key_bytes_and_is_bounded():
+    import hashlib
+    from repro.parallel import cache
+    from repro.trace.ops import FENCE, Trace
+    trace = Trace()
+    trace.add(FENCE, 0)
+    memo = cache._hw_fingerprint
+    configs = [HardwareConfig().with_pm(media_latency_ns=1000.0 + i)
+               for i in range(memo.cache_info().maxsize + 8)]
+    for hw in configs + configs[:3]:   # the first three were evicted
+        h = hashlib.sha256(f"sim:{fingerprint(hw)}:1:0:1".encode())
+        trace.hash_into(h)
+        assert sim_key([trace], hw) == h.hexdigest()
+    info = memo.cache_info()
+    assert info.currsize == info.maxsize
+    sim_key([trace], configs[-1])
+    assert memo.cache_info().hits == info.hits + 1
+
+
 _PRINT_KEYS = """
 from repro.parallel import sim_key
 from repro.parallel.sweep import SweepCell
