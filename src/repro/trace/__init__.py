@@ -9,7 +9,8 @@ codes' packet XOR programs) and DIALGA's operator variants (pipelined
 software prefetch, shuffle mapping, XPLine-granularity expansion).
 """
 
-from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace, tile
+from repro.trace.ops import (LOAD, STORE, SWPF, COMPUTE, FENCE, Kernel, Trace,
+                             tile)
 from repro.trace.workload import Workload
 from repro.trace.layout import StripeLayout
 from repro.trace.isal_gen import isal_trace, IsalVariant
@@ -21,6 +22,7 @@ from repro.trace.period import detect_period, TracePeriod
 __all__ = [
     "LOAD", "STORE", "SWPF", "COMPUTE", "FENCE",
     "Trace",
+    "Kernel",
     "tile",
     "Workload",
     "StripeLayout",

@@ -22,26 +22,42 @@ lines with non-temporal stores; a fence ends the stripe. Variants:
 * ``decompose_group=g`` — ISA-L-D / Cerasure wide-stripe decomposition:
   multiple narrow passes with parity reload between passes.
 
-Each generator emits stripe 0's kernel op by op and tiles it over the
-thread's stripes with :func:`repro.trace.tile`. That is exact because
-stripes sit a whole number of pages apart: the XPLine-first test
-``(addr // 64) % 4`` gives the same answer in every stripe.
+Each generator emits stripe 0's kernel op by op on thread 0's layout
+and :func:`repro.trace.tile` places copies of it at the thread's
+stripes. That is exact because stripes sit a whole number of pages
+apart and threads ``t << 44`` bytes apart: the XPLine-first test
+``(addr // 64) % 4`` gives the same answer in every copy.
+
+A kernel carries no thread, chunk or volume, so :func:`_kernel` keeps
+the last :data:`KERNEL_MEMO_SIZE` of them, keyed on exactly what a
+kernel reads: the workload's geometry, op, erasures and LRC ``l``, the
+:class:`CPUConfig` and the :class:`IsalVariant`. Multi-thread runs and
+DIALGA's chunk loop then build each kernel once. The memo is
+process-wide but bounded, and callers never see its arrays, because
+``tile`` copies them.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from repro.simulator.params import CPUConfig
 from repro.trace.layout import StripeLayout, LINE
-from repro.trace.ops import LOAD, STORE, SWPF, COMPUTE, FENCE, Trace, tile
+from repro.trace.ops import (LOAD, STORE, SWPF, COMPUTE, FENCE, Kernel,
+                             Trace, tile)
 from repro.trace.workload import Workload
 
 #: Lines per XPLine (256 B / 64 B).
 XP_LINES = 4
+
+#: Stripe kernels :func:`_kernel` keeps. The 4/8/16-thread scaling runs
+#: need 102 distinct kernels over 528 traces, and 64 entries serve
+#: every repeat among them.
+KERNEL_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -101,15 +117,29 @@ def isal_trace(wl: Workload, cpu: CPUConfig,
     coordinator generates chunks incrementally; each chunk must touch
     fresh addresses).
     """
-    if variant.decompose_group is not None:
-        return _decomposed_trace(wl, cpu, variant, thread, stripe_offset)
+    kernel = _kernel(wl.k, wl.m, wl.block_bytes, wl.op, wl.erasures,
+                     wl.lrc_l, cpu, variant)
     layout = StripeLayout(wl.k, wl.m, wl.block_bytes, thread=thread,
                           extra_blocks=wl.lrc_l or 0)
-    per_line = _per_line_compute_cycles(wl, cpu)
-    stripe = _xpline_stripe if variant.xpline_granularity else _rowmajor_stripe
-    return tile(stripe(wl, layout, per_line, variant), wl.stripes_per_thread,
-                layout.stripe_stride, stripe_offset)
+    return tile(kernel, wl.stripes_per_thread, layout, stripe_offset)
 
+
+@lru_cache(maxsize=KERNEL_MEMO_SIZE)
+def _kernel(k: int, m: int, block_bytes: int, op: str, erasures: int,
+            lrc_l: int | None, cpu: CPUConfig,
+            variant: IsalVariant) -> Kernel:
+    """Stripe 0's kernel on thread 0's layout, built once per key."""
+    wl = Workload(k=k, m=m, block_bytes=block_bytes, op=op,
+                  erasures=erasures, lrc_l=lrc_l)
+    layout = StripeLayout(k, m, block_bytes, extra_blocks=lrc_l or 0)
+    if variant.decompose_group is not None:
+        stripe = _decomposed_stripe
+    elif variant.xpline_granularity:
+        stripe = _xpline_stripe
+    else:
+        stripe = _rowmajor_stripe
+    return Kernel(stripe(wl, layout, _per_line_compute_cycles(wl, cpu),
+                         variant))
 
 
 def _source_blocks(wl: Workload) -> list[int]:
@@ -227,10 +257,9 @@ def _xpline_stripe(wl, layout, per_line, variant) -> Trace:
     return kernel
 
 
-def _decomposed_trace(wl: Workload, cpu: CPUConfig,
-                      variant: IsalVariant, thread: int,
-                      stripe_offset: int = 0) -> Trace:
-    """Wide-stripe decomposition: narrow passes with parity reload.
+def _decomposed_stripe(wl, layout, per_line, variant) -> Trace:
+    """Stripe 0 of wide-stripe decomposition: narrow passes with parity
+    reload.
 
     Pass p loads its group's data lines plus (for p > 0) the partial
     parity written by pass p-1 — the "parity reloading" and amplified
@@ -239,9 +268,6 @@ def _decomposed_trace(wl: Workload, cpu: CPUConfig,
     g = variant.decompose_group
     if g is None or g < 1:
         raise ValueError("decompose_group must be a positive int")
-    layout = StripeLayout(wl.k, wl.m, wl.block_bytes, thread=thread,
-                          extra_blocks=wl.lrc_l or 0)
-    per_line = _per_line_compute_cycles(wl, cpu)
     base = [layout.block_addr(0, b) for b in range(layout.blocks_per_stripe)]
     sources = _source_blocks(wl)
     dests = _dest_blocks(wl)
@@ -267,5 +293,4 @@ def _decomposed_trace(wl: Workload, cpu: CPUConfig,
             for b in stores:
                 add(STORE, b + roff)
     add(FENCE, 0)
-    return tile(kernel, wl.stripes_per_thread, layout.stripe_stride,
-                stripe_offset)
+    return kernel

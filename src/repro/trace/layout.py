@@ -8,12 +8,15 @@ block occupies only 16 lines of its page, so the streamer's training
 ends at the block boundary (Obs. 4).
 
 Threads get disjoint address spaces (distinct high bits), mirroring
-per-thread source buffers.
+per-thread source buffers. Thread t's region is thread 0's moved up by
+:attr:`StripeLayout.thread_offset` (``t << 44``) and nothing else, so
+trace generators build one stripe's kernel on thread 0's layout and
+:func:`repro.trace.tile` places it in any thread's region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 LINE = 64
 PAGE = 4096
@@ -68,6 +71,11 @@ class StripeLayout:
     @property
     def thread_base(self) -> int:
         return (self.thread + 1) << 44
+
+    @property
+    def thread_offset(self) -> int:
+        """Bytes from thread 0's region up to this thread's."""
+        return self.thread_base - replace(self, thread=0).thread_base
 
     def block_addr(self, stripe: int, block: int) -> int:
         """Base address of stripe-global ``block`` in ``stripe``.

@@ -27,16 +27,22 @@ Generators build one stripe's *kernel*, op by op, through
 :meth:`Trace.add`, which *coalesces consecutive COMPUTE ops* (summing
 their cycle counts) — runs of pure compute (common in XOR-schedule traces, where
 parity-source program steps emit no loads) collapse into one op before
-the simulator ever sees them. :func:`tile` then repeats the kernel once
-per stripe with array arithmetic, shifting every address by the
-stripe's stride; no per-op Python runs for the other stripes.
+the simulator ever sees them. Kernels are built on thread 0's layout
+and carry no thread, so one :class:`Kernel` serves every thread.
+:func:`tile` then repeats it once per stripe with array arithmetic,
+moving every address to its thread and stripe; no per-op Python runs
+for the other stripes or threads.
 """
 
 from __future__ import annotations
 
 from array import array
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.trace.layout import StripeLayout
 
 LOAD = 0
 STORE = 1
@@ -235,28 +241,53 @@ class Trace:
         self.opcodes, self.args, self.data_bytes = state
 
 
-def tile(kernel: Trace, stripes: int, stride: int,
-         first_stripe: int = 0) -> Trace:
-    """Repeat a one-stripe kernel ``stripes`` times.
+class Kernel:
+    """One stripe's ops on thread 0's layout, ready for :func:`tile`.
 
-    ``kernel`` holds stripe 0's ops; copy ``i`` is shifted to stripe
-    ``first_stripe + i``: its LOAD/STORE/SWPF addresses gain
-    ``(first_stripe + i) * stride`` and its COMPUTE/FENCE args stay
-    as they are. This equals emitting every stripe through
-    :meth:`Trace.add` because the kernel ends in FENCE (so no COMPUTE
-    coalesces across a stripe boundary) and addresses stay below
-    2**53 (so the float adds are exact). ``data_bytes`` scales with
-    the copies.
+    ``fixed`` indexes the few ops whose args are no address (COMPUTE
+    and FENCE) and ``fixed_args`` holds those args; both are computed
+    once here rather than on every tile. Nothing mutates a kernel after
+    it is built: :func:`tile` copies its arrays.
     """
-    if not kernel.opcodes or kernel.opcodes[-1] != FENCE:
-        raise ValueError("a tiled kernel must be non-empty and end in FENCE")
-    out = Trace(data_bytes=kernel.data_bytes * stripes)
-    out.opcodes = kernel.opcodes * stripes
-    out.args = kernel.args * stripes
-    # LOAD, STORE and SWPF are opcodes 0-2: the address-carrying ops.
-    cols = np.flatnonzero(np.frombuffer(kernel.opcodes, np.uint8) <= SWPF)
+
+    __slots__ = ("trace", "fixed", "fixed_args")
+
+    def __init__(self, trace: Trace):
+        if not trace.opcodes or trace.opcodes[-1] != FENCE:
+            raise ValueError("a tiled kernel must be non-empty and end in "
+                             "FENCE")
+        self.trace = trace
+        # LOAD, STORE and SWPF are opcodes 0-2, the address-carrying ops.
+        self.fixed = np.flatnonzero(
+            np.frombuffer(trace.opcodes, np.uint8) > SWPF)
+        self.fixed_args = np.frombuffer(trace.args, np.float64)[self.fixed]
+
+
+def tile(kernel: Kernel, stripes: int, layout: "StripeLayout",
+         first_stripe: int = 0) -> Trace:
+    """Repeat a one-stripe kernel over ``stripes`` stripes of ``layout``.
+
+    Copy ``i`` lands at ``(layout.thread, first_stripe + i)``: its
+    LOAD/STORE/SWPF addresses gain ``layout.thread_offset + (first_stripe
+    + i) * layout.stripe_stride`` and its COMPUTE/FENCE args stay as
+    they are. This equals emitting every stripe of that thread through
+    :meth:`Trace.add` because the kernel ends in FENCE (so no COMPUTE
+    coalesces across a stripe boundary) and every address and shift is
+    an integer below 2**53 (so the float adds are exact). Both shifts
+    are whole pages, so the XPLine-first test ``(addr // 64) % 4`` gives
+    the kernel's answer in every copy. ``data_bytes`` scales with the
+    copies; the result shares no array with ``kernel``.
+    """
+    trace = kernel.trace
+    out = Trace(data_bytes=trace.data_bytes * stripes)
+    out.opcodes = trace.opcodes * stripes
+    out.args = trace.args * stripes
     shift = np.arange(first_stripe, first_stripe + stripes,
-                      dtype=np.float64) * stride
+                      dtype=np.float64) * layout.stripe_stride
+    shift += layout.thread_offset
+    # Address ops are the bulk of a kernel: shift every column in one
+    # dense add, then put the few COMPUTE/FENCE args back as they were.
     args = np.frombuffer(out.args, np.float64).reshape(stripes, -1)
-    args[:, cols] += shift[:, None]
+    args += shift[:, None]
+    args[:, kernel.fixed] = kernel.fixed_args
     return out

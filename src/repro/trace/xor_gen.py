@@ -9,15 +9,20 @@ the L2 streamer rarely trains), and the compute is XOR-only AVX256.
 
 Parity and temporary packets are held as in-cache accumulators; parity
 packets are flushed with non-temporal stores at the end of each stripe.
-The program runs once, for stripe 0; :func:`repro.trace.tile` repeats
-that kernel over the thread's stripes.
+The program runs once, for stripe 0 on thread 0's layout;
+:func:`repro.trace.tile` places that kernel at the thread's stripes.
+Unlike the ISA-L family (:mod:`repro.trace.isal_gen`), XOR kernels are
+not memoized: a schedule is no cheap exact key, so each call rebuilds
+its kernel.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.simulator.params import CPUConfig
 from repro.trace.layout import StripeLayout, LINE
-from repro.trace.ops import LOAD, STORE, COMPUTE, FENCE, Trace, tile
+from repro.trace.ops import LOAD, STORE, COMPUTE, FENCE, Kernel, Trace, tile
 from repro.trace.workload import Workload
 from repro.xorsched.schedule import XorSchedule
 
@@ -58,7 +63,7 @@ def xor_schedule_trace(wl: Workload, cpu: CPUConfig, schedule: XorSchedule,
     if (k, m) != (wl.k, wl.m):
         raise ValueError(
             f"schedule geometry ({k},{m}) != workload ({wl.k},{wl.m})")
-    layout = StripeLayout(wl.k, wl.m, wl.block_bytes, thread=thread)
+    layout = StripeLayout(wl.k, wl.m, wl.block_bytes)
     if wl.block_bytes < w:
         raise ValueError(f"block must be >= w={w} bytes for bitmatrix codes")
     packets = _packet_addrs(layout, list(range(k)), w)
@@ -76,7 +81,8 @@ def xor_schedule_trace(wl: Workload, cpu: CPUConfig, schedule: XorSchedule,
     # Flush parity packets with NT stores.
     _emit_parity(layout, k, m, STORE, add)
     add(FENCE, 0)
-    return tile(kernel, wl.stripes_per_thread, layout.stripe_stride)
+    return tile(Kernel(kernel), wl.stripes_per_thread,
+                replace(layout, thread=thread))
 
 
 def xor_decomposed_trace(wl: Workload, cpu: CPUConfig,
@@ -89,7 +95,7 @@ def xor_decomposed_trace(wl: Workload, cpu: CPUConfig,
     (extra load traffic) and every pass rewrites it (amplified write
     traffic) — the decompose costs the paper quantifies in §5.2/§5.7.
     """
-    layout = StripeLayout(wl.k, wl.m, wl.block_bytes, thread=thread)
+    layout = StripeLayout(wl.k, wl.m, wl.block_bytes)
     kernel = Trace(data_bytes=wl.stripe_data_bytes)
     add = kernel.add
     for p, (sched, cols) in enumerate(group_schedules):
@@ -109,4 +115,5 @@ def xor_decomposed_trace(wl: Workload, cpu: CPUConfig,
             add(COMPUTE, cycles)
         _emit_parity(layout, wl.k, wl.m, STORE, add)
     add(FENCE, 0)
-    return tile(kernel, wl.stripes_per_thread, layout.stripe_stride)
+    return tile(Kernel(kernel), wl.stripes_per_thread,
+                replace(layout, thread=thread))

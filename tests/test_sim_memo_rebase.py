@@ -27,7 +27,9 @@ from repro.parallel import (
 from repro.parallel.cache import rebased
 from repro.simulator import multicore
 from repro.simulator.params import CacheConfig
-from repro.trace.ops import COMPUTE, FENCE, LOAD, STORE, SWPF, Trace, tile
+from repro.trace.layout import StripeLayout
+from repro.trace.ops import (COMPUTE, FENCE, LOAD, STORE, SWPF, Kernel, Trace,
+                             tile)
 
 from tests.reference_interpreter import assert_identical
 
@@ -241,7 +243,8 @@ def test_sim_key_hashes_the_concatenated_content_keys():
     hw = HardwareConfig()
     kernel = Trace(ops=[(LOAD, 0.0), (COMPUTE, 3.0), (SWPF, 4096.0),
                         (STORE, 8192.0), (FENCE, 0.0)], data_bytes=64)
-    tiled = tile(kernel, 5, 3 * 4096, first_stripe=2)
+    # One-line blocks, three per stripe: a 3-page stripe stride.
+    tiled = tile(Kernel(kernel), 5, StripeLayout(1, 2, 64), first_stripe=2)
     isal = ISAL(8, 4).trace(Workload(k=8, m=4,
                                      data_bytes_per_thread=2 * 8 * 1024),
                             hw, 0)

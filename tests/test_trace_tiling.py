@@ -23,10 +23,11 @@ from repro.libs.xor_common import build_lrc_schedule, cached_group_schedule
 from repro.simulator.fastforward import MIN_PERIODS
 from repro.simulator.params import CPUConfig
 from repro.trace import (
-    COMPUTE, FENCE, LOAD, STORE, SWPF, IsalVariant, StripeLayout, Trace,
-    Workload, detect_period, isal_trace, tile, xor_decomposed_trace,
+    COMPUTE, FENCE, LOAD, STORE, SWPF, IsalVariant, Kernel, StripeLayout,
+    Trace, Workload, detect_period, isal_trace, tile, xor_decomposed_trace,
     xor_schedule_trace,
 )
+from repro.trace import isal_gen
 
 from tests import reference_trace_gen as ref
 
@@ -85,7 +86,7 @@ def isal_case(draw):
         decompose_group=draw(st.one_of(st.none(),
                                        st.integers(1, wl.k + 3))),
     )
-    thread = draw(st.integers(0, 3))
+    thread = draw(st.integers(0, 15))
     offset = draw(st.one_of(st.integers(0, 64), st.integers(0, 1 << 30)))
     return wl, variant, thread, offset
 
@@ -122,7 +123,7 @@ def xor_case(draw):
     facades pair them (decode and LRC widen or narrow m)."""
     name = draw(st.sampled_from(["Zerasure", "Cerasure"]))
     wl = draw(_workload())
-    thread = draw(st.integers(0, 3))
+    thread = draw(st.integers(0, 15))
     code = _library(name, wl.k, wl.m).code
     if wl.op == "decode":
         sched = _decode_schedule(name, wl.k, wl.m, wl.erasures)
@@ -182,14 +183,74 @@ def test_xor_schedules_tile_to_the_oracle_soak(case):
 def test_tile_shifts_only_addresses():
     kernel = Trace([(SWPF, 128.0), (LOAD, 64.0), (COMPUTE, 7.5),
                     (STORE, 4096.0), (FENCE, 0.0)], data_bytes=10)
-    out = tile(kernel, 3, 8192, first_stripe=2)
+    layout = StripeLayout(1, 1, 64, thread=3)   # stride: two pages
+    out = tile(Kernel(kernel), 3, layout, first_stripe=2)
     assert out.data_bytes == 30
     assert list(out.ops) == [
-        (op, arg + s * 8192 if op in (LOAD, STORE, SWPF) else arg)
+        (op, arg + (3 << 44) + s * 8192
+         if op in (LOAD, STORE, SWPF) else arg)
         for s in (2, 3, 4) for op, arg in kernel.ops]
 
 
 @pytest.mark.parametrize("ops", [[], [(LOAD, 0.0), (COMPUTE, 1.0)]])
 def test_tile_rejects_a_kernel_without_a_trailing_fence(ops):
     with pytest.raises(ValueError, match="FENCE"):
-        tile(Trace(ops), 2, 4096)
+        Kernel(Trace(ops))
+
+
+MEMO_WL = Workload(k=6, m=3, block_bytes=1024, data_bytes_per_thread=6 << 12)
+MEMO_VARIANT = IsalVariant(sw_prefetch_distance=7, bf_first_line_distance=20)
+
+
+def test_warm_kernel_memo_equals_cold():
+    isal_gen._kernel.cache_clear()
+    cold = isal_trace(MEMO_WL, CPU, MEMO_VARIANT, thread=5, stripe_offset=9)
+    before = isal_gen._kernel.cache_info().hits
+    warm = isal_trace(MEMO_WL, CPU, MEMO_VARIANT, thread=5, stripe_offset=9)
+    assert isal_gen._kernel.cache_info().hits == before + 1
+    assert warm == cold
+    assert warm.opcodes is not cold.opcodes and warm.args is not cold.args
+
+
+def test_mutating_a_trace_leaves_the_memoized_kernel_alone():
+    want = isal_trace(MEMO_WL, CPU, MEMO_VARIANT, thread=2)
+    got = isal_trace(MEMO_WL, CPU, MEMO_VARIANT, thread=2)
+    # DIALGA's chunk loop extends its contexts' traces in place.
+    got.extend(isal_trace(MEMO_WL, CPU, MEMO_VARIANT, thread=2,
+                          stripe_offset=6))
+    got.args[0] += 64
+    got.opcodes[1] = FENCE
+    assert isal_trace(MEMO_WL, CPU, MEMO_VARIANT, thread=2) == want
+
+
+#: One case per field of the memo key, each differing in that field
+#: alone from an earlier case (the first, or the decode case before it
+#: for ``erasures``), so a key that drops a field serves a wrong kernel.
+KEY_CASES = [
+    (MEMO_WL.with_(erasures=2), CPU, MEMO_VARIANT),
+    (MEMO_WL.with_(op="decode", erasures=2), CPU, MEMO_VARIANT),
+    (MEMO_WL.with_(op="decode", erasures=1), CPU, MEMO_VARIANT),
+    (MEMO_WL.with_(erasures=2), CPUConfig(gf_cycles_per_parity_line=4.0),
+     MEMO_VARIANT),
+    (MEMO_WL.with_(erasures=2, k=5), CPU, MEMO_VARIANT),
+    (MEMO_WL.with_(erasures=2, m=4), CPU, MEMO_VARIANT),
+    (MEMO_WL.with_(erasures=2, block_bytes=2048), CPU, MEMO_VARIANT),
+    (MEMO_WL.with_(erasures=2, lrc_l=3), CPU, MEMO_VARIANT),
+    (MEMO_WL.with_(erasures=2), CPU, MEMO_VARIANT.with_(shuffle=True)),
+]
+
+
+def test_memo_key_separates_everything_a_kernel_reads():
+    isal_gen._kernel.cache_clear()
+    for wl, cpu, variant in KEY_CASES:
+        _assert_same(isal_trace(wl, cpu, variant, thread=1),
+                     ref.isal_trace(wl, cpu, variant, thread=1))
+    assert isal_gen._kernel.cache_info().currsize == len(KEY_CASES)
+
+
+def test_kernel_memo_stays_within_its_size():
+    size = isal_gen.KERNEL_MEMO_SIZE
+    assert isal_gen._kernel.cache_info().maxsize == size
+    for d in range(1, size + 10):
+        isal_trace(MEMO_WL, CPU, IsalVariant(sw_prefetch_distance=d))
+    assert isal_gen._kernel.cache_info().currsize == size
