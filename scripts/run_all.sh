@@ -11,6 +11,13 @@ echo "== unit / property / integration tests =="
 # pyproject.toml turns every DeprecationWarning into an error here.
 python -m pytest tests/ 2>&1 | tee test_output.txt
 
+echo "== import-time profile (informational, no gate) =="
+# The ten largest self times (us) of what a sweep imports, so
+# import-time work a change adds shows in the log
+# (docs/performance.md, "Start-up").
+python3 -X importtime -c "import repro.parallel, repro.trace" 2>&1 \
+    | sort -t: -k2,2n | tail -n 10
+
 echo "== hostbench job (own tests + pinned digests + host-time gate) =="
 # Each gate call runs hostbench/run.py, which checks every simulation
 # against hostbench/digests.json and exits non-zero on any mismatch or

@@ -37,67 +37,45 @@ Quickstart
 True
 """
 
-from repro.chaos import (
-    CANNED_CAMPAIGNS,
-    AuditReport,
-    Campaign,
-    CampaignEngine,
-    CampaignReport,
-    ChaosAction,
-    DurabilityAuditor,
-)
-from repro.codes import RSCode, LRCCode, Stripe
-from repro.core import (
-    AdaptiveCoordinator,
-    DialgaConfig,
-    DialgaEncoder,
-    Policy,
-)
-from repro.gf import GF, gf8
-from repro.libs import (
-    ISAL,
-    ISALDecompose,
-    Zerasure,
-    Cerasure,
-    GeometryMismatch,
-    UnsupportedWorkload,
-)
-from repro.parallel import (
-    ContentCache,
-    SweepResult,
-    SweepSpec,
-    run_sweep,
-)
-from repro.obs import (
-    NullTracer,
-    Tracer,
-    get_tracer,
-    prometheus_text,
-    set_tracer,
-    use_tracer,
-    write_trace,
-)
-from repro.pmstore import (
-    FaultEvent,
-    FaultInjector,
-    PMStore,
-    Scrubber,
-    ScrubReport,
-    TransientFault,
-)
-from repro.service import (
-    ErasureCodingService,
-    HealthMonitor,
-    HealthState,
-    MetricsRegistry,
-    Request,
-    RequestResult,
-    RetryPolicy,
-    SelfHealer,
-    ServiceConfig,
-)
-from repro.simulator import HardwareConfig, simulate, SimResult, Counters
-from repro.trace import Workload
+# Every export resolves on first access (PEP 562), so ``import repro``
+# costs nothing and a process pays only for the layers it touches.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("repro.chaos", ("CANNED_CAMPAIGNS", "AuditReport", "Campaign",
+                         "CampaignEngine", "CampaignReport", "ChaosAction",
+                         "DurabilityAuditor")),
+        ("repro.codes", ("RSCode", "LRCCode", "Stripe")),
+        ("repro.core", ("AdaptiveCoordinator", "DialgaConfig",
+                        "DialgaEncoder", "Policy")),
+        ("repro.gf", ("GF", "gf8")),
+        ("repro.libs", ("ISAL", "ISALDecompose", "Zerasure", "Cerasure",
+                        "GeometryMismatch", "UnsupportedWorkload")),
+        ("repro.parallel", ("ContentCache", "SweepResult", "SweepSpec",
+                            "run_sweep")),
+        ("repro.obs", ("NullTracer", "Tracer", "get_tracer",
+                       "prometheus_text", "set_tracer", "use_tracer",
+                       "write_trace")),
+        ("repro.pmstore", ("FaultEvent", "FaultInjector", "PMStore",
+                           "Scrubber", "ScrubReport", "TransientFault")),
+        ("repro.service", ("ErasureCodingService", "HealthMonitor",
+                           "HealthState", "MetricsRegistry", "Request",
+                           "RequestResult", "RetryPolicy", "SelfHealer",
+                           "ServiceConfig")),
+        ("repro.simulator", ("HardwareConfig", "simulate", "SimResult",
+                             "Counters")),
+        ("repro.trace", ("Workload",)),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        import importlib
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "1.2.0"
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from repro.core.dialga import DialgaEncoder
-from repro.libs import ISAL, ISALDecompose, Zerasure, Cerasure
 from repro.libs.base import CodingLibrary, LibraryResult, UnsupportedWorkload
-from repro.parallel.sweep import LIBRARIES
+from repro.parallel.sweep import LIBRARIES, LIBRARY_CLASSES
 from repro.simulator import HardwareConfig
 from repro.trace import Workload
 
@@ -13,21 +11,10 @@ from repro.trace import Workload
 def standard_libraries(k: int, m: int,
                        include=LIBRARIES) -> list[CodingLibrary]:
     """The paper's §5.1 comparison set for one code geometry."""
-    out: list[CodingLibrary] = []
-    for name in include:
-        if name == "ISA-L":
-            out.append(ISAL(k, m))
-        elif name == "ISA-L-D":
-            out.append(ISALDecompose(k, m))
-        elif name == "Zerasure":
-            out.append(Zerasure(k, m))
-        elif name == "Cerasure":
-            out.append(Cerasure(k, m))
-        elif name == "DIALGA":
-            out.append(DialgaEncoder(k, m))
-        else:
-            raise ValueError(f"unknown library {name!r}")
-    return out
+    unknown = [name for name in include if name not in LIBRARY_CLASSES]
+    if unknown:
+        raise ValueError(f"unknown library {unknown[0]!r}")
+    return [LIBRARY_CLASSES[name](k, m) for name in include]
 
 
 def run_libraries(wl: Workload, libs: list[CodingLibrary],

@@ -13,8 +13,16 @@ Public API
 """
 
 from repro.gf.tables import GFTables, PRIMITIVE_POLYNOMIALS
-from repro.gf.arithmetic import GF, gf4, gf8, gf16
+from repro.gf.arithmetic import GF, gf4, gf8
 from repro.gf.bitmatrix import element_bitmatrix, matrix_to_bitmatrix, bitmatrix_xor_count
+
+
+def __getattr__(name: str):
+    # ``gf16`` is built on first access, once, by repro.gf.arithmetic.
+    if name == "gf16":
+        from repro.gf import arithmetic
+        return arithmetic.gf16
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "GF",

@@ -165,4 +165,12 @@ class GF:
 #: Shared field instances. ``gf8`` is the paper's evaluation field.
 gf4 = GF(4)
 gf8 = GF(8)
-gf16 = GF(16)
+
+
+def __getattr__(name: str):
+    # ``gf16`` is built on first access: its tables take a 65,535-step
+    # loop, and no codec here uses GF(2^16).
+    if name == "gf16":
+        gf = globals()["gf16"] = GF(16)
+        return gf
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

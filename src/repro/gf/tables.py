@@ -1,8 +1,8 @@
 """Log/exp/multiplication tables for GF(2^w).
 
-Tables are generated at import time from standard primitive polynomials
-(the same ones Jerasure and ISA-L use), so every codec in the repo
-shares one consistent field definition.
+Tables are generated on first use, once per process (:func:`get_tables`),
+from standard primitive polynomials (the same ones Jerasure and ISA-L
+use), so every codec in the repo shares one consistent field definition.
 
 The full ``w=8`` multiplication table (256x256 uint8, 64 KiB) is the
 work-horse of the vectorized encoder: multiplying an entire data block

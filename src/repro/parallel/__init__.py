@@ -28,13 +28,24 @@ from repro.parallel.cache import (
     sim_key,
     trace_fingerprint,
 )
-from repro.parallel.sweep import (
-    CellResult,
-    SweepCell,
-    SweepResult,
-    SweepSpec,
-    run_sweep,
-)
+
+# The sweep symbols resolve lazily (PEP 562): their module imports
+# every coding library, and the simulator imports this package's cache
+# to install its memo, so an eager import here would cycle.
+_LAZY = {
+    "SweepCell": "repro.parallel.sweep",
+    "CellResult": "repro.parallel.sweep",
+    "SweepSpec": "repro.parallel.sweep",
+    "SweepResult": "repro.parallel.sweep",
+    "run_sweep": "repro.parallel.sweep",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        import importlib
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ContentCache",

@@ -12,8 +12,9 @@ outlives the code that made it.
 
 Two layers use this module:
 
-* :func:`repro.simulate` — a bounded :class:`SimCache`, installed at
-  import in the ``_SIM_CACHE`` seam of :mod:`repro.simulator.multicore`,
+* :func:`repro.simulate` — a bounded :class:`SimCache`, installed in
+  the ``_SIM_CACHE`` seam of :mod:`repro.simulator.multicore` when this
+  module is imported (which importing :mod:`repro.simulator` does),
   serves repeated (trace, hardware) simulations from memory;
   :func:`sim_cache` swaps it for the scope of a ``with`` (counterfactual
   replay, :mod:`repro.obs.replay`, uses a fresh one; timed code none);

@@ -23,19 +23,26 @@ tracer in cell order and the trace is deterministic too.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.libs.base import UnsupportedWorkload
+from repro.core.dialga import DialgaEncoder
+from repro.libs import ISAL, Cerasure, ISALDecompose, UnsupportedWorkload, Zerasure
 from repro.obs import get_tracer
 from repro.parallel.cache import ContentCache, fingerprint
 from repro.simulator.counters import Counters
 from repro.trace import Workload
 
-#: The paper's §5.1 comparison set: every library name a sweep (or
-#: :func:`repro.bench.standard_libraries`) can build.
-LIBRARIES = ("ISA-L", "ISA-L-D", "Zerasure", "Cerasure", "DIALGA")
+#: The paper's §5.1 comparison set: every library a sweep (or
+#: :func:`repro.bench.standard_libraries`) can build, by name; each is
+#: built as ``cls(k, m)``.
+LIBRARY_CLASSES = {
+    "ISA-L": ISAL,
+    "ISA-L-D": ISALDecompose,
+    "Zerasure": Zerasure,
+    "Cerasure": Cerasure,
+    "DIALGA": DialgaEncoder,
+}
+LIBRARIES = tuple(LIBRARY_CLASSES)
 
 #: Pool rounds granted to cells lost to a crashed worker
 #: (``BrokenProcessPool``) before they come back as error results.
@@ -159,11 +166,9 @@ class SweepResult:
 
 def _run_cell(index: int, cell: SweepCell) -> CellResult:
     """Execute one cell from scratch (library rebuild + trace + sim)."""
-    from repro.bench.runner import standard_libraries
     wl = cell.workload
     try:
-        lib, = standard_libraries(wl.k, wl.m, include=(cell.library,))
-        out = lib.run(wl)
+        out = LIBRARY_CLASSES[cell.library](wl.k, wl.m).run(wl)
     except UnsupportedWorkload:
         return CellResult(index, cell.library, wl, supported=False)
     except Exception as exc:  # defensive: one bad cell must not kill a sweep
@@ -186,6 +191,10 @@ def _pool_round(todo: list[tuple[int, SweepCell]],
     that finished before the pool broke keep their results; the caller
     decides whether to resubmit the lost ones.
     """
+    # Imported here, not at module level: serial sweeps never build a
+    # pool, and the import costs every process ~10 ms.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     done: dict[int, CellResult] = {}
     lost: list[tuple[int, SweepCell]] = []
     pool = ProcessPoolExecutor(max_workers=workers)

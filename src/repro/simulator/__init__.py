@@ -35,6 +35,12 @@ from repro.simulator.multicore import SimResult, simulate
 from repro.simulator.presets import PRESETS, get_preset
 from repro.simulator.profiler import perf_report
 
+# Last, once every name above is bound: importing the memo's module
+# installs the process-wide SimCache in ``multicore._SIM_CACHE``, so
+# every process that can simulate memoizes, whichever ``repro`` module
+# it imported first.
+from repro.parallel import cache as _sim_memo  # noqa: E402,F401
+
 __all__ = [
     "CPUConfig",
     "CacheConfig",

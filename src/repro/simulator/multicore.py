@@ -25,8 +25,9 @@ from repro.simulator.params import HardwareConfig
 from repro.trace.ops import Trace
 
 #: Content-addressed (trace, hardware) -> SimResult memo. Importing
-#: :mod:`repro` installs a bounded :class:`repro.parallel.cache.SimCache`
-#: here; :func:`repro.parallel.cache.sim_cache` swaps it for a scope
+#: :mod:`repro.simulator`, which any import of this module runs,
+#: installs a bounded :class:`repro.parallel.cache.SimCache` here;
+#: :func:`repro.parallel.cache.sim_cache` swaps it for a scope
 #: (``None`` turns memoization off).
 _SIM_CACHE = None
 

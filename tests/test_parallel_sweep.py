@@ -437,7 +437,9 @@ class _BreaksOnSecondSubmit:
 
 
 def test_pool_broken_mid_submission_loses_only_unsent_cells(monkeypatch):
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _BreaksOnSecondSubmit)
+    import concurrent.futures.process
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        _BreaksOnSecondSubmit)
     todo = list(enumerate(small_spec(workloads=WLS[:1]).cells()))
     done, lost = sweep._pool_round(todo, workers=2)
     assert list(done) == [0] and done[0].error is None
