@@ -51,9 +51,10 @@ python scripts/check_trace.py trace_smoke.json \
     --require service.request
 
 echo "== bench sweep smoke job (parallel ≡ serial ≡ warm) =="
-# The smoke grid runs serial, parallel (--workers 2) and warm-cache and
-# exits non-zero unless all three produce bit-identical results.
-python -m repro.bench sweep --grid smoke --workers 2
+# The smoke grid runs serial, parallel (--workers 2) and under the warm
+# memo the serial pass filled, and exits non-zero unless all three
+# produce bit-identical results.
+python -m repro.bench sweep --workers 2
 
 echo "== scenario rerun job (shape checks, same seed same bytes) =="
 # Each scenario exits non-zero on a failing shape check. The two runs

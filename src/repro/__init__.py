@@ -16,8 +16,8 @@ Layers (bottom-up):
 * :mod:`repro.bench` — experiment harness regenerating every paper
   figure.
 * :mod:`repro.parallel` — deterministic process-pool sweep execution
-  (:func:`run_sweep`) and content-addressed trace/simulation caching;
-  parallel and warm-cache runs are bit-identical to serial ones.
+  (:func:`run_sweep`) and the content-addressed simulation memo;
+  parallel and warm-memo runs are bit-identical to serial ones.
 * :mod:`repro.obs` — simulated-clock tracing/telemetry across all of
   the above (spans, events, Chrome-trace / JSONL / Prometheus
   exporters); a no-op unless a tracer is installed.
@@ -51,8 +51,7 @@ _LAZY = {
         ("repro.gf", ("GF", "gf8")),
         ("repro.libs", ("ISAL", "ISALDecompose", "Zerasure", "Cerasure",
                         "GeometryMismatch", "UnsupportedWorkload")),
-        ("repro.parallel", ("ContentCache", "SweepResult", "SweepSpec",
-                            "run_sweep")),
+        ("repro.parallel", ("SweepResult", "SweepSpec", "run_sweep")),
         ("repro.obs", ("NullTracer", "Tracer", "get_tracer",
                        "prometheus_text", "set_tracer", "use_tracer",
                        "write_trace")),
@@ -132,6 +131,5 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "run_sweep",
-    "ContentCache",
     "__version__",
 ]

@@ -14,7 +14,7 @@ that JSON into EXPERIMENTS.md.
 
 from repro.bench.report import FigureResult, Check, fmt_value
 from repro.bench.runner import run_libraries, standard_libraries
-from repro.bench.sweep import benchmark_sweep, full_grid, smoke_grid
+from repro.bench.sweep import benchmark_sweep, smoke_grid
 from repro.bench.compare import compare_libraries, Comparison
 from repro.bench.workloads import PRODUCTION_WORKLOADS, get_workload
 
@@ -26,7 +26,6 @@ __all__ = [
     "standard_libraries",
     "benchmark_sweep",
     "smoke_grid",
-    "full_grid",
     "compare_libraries",
     "Comparison",
     "PRODUCTION_WORKLOADS",

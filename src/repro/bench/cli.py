@@ -47,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "sweep":
         # Grid benchmark subcommand (own option surface) — see
-        # repro.bench.sweep for --grid/--workers/--json.
+        # repro.bench.sweep for --workers.
         from repro.bench.sweep import main as sweep_main
         return sweep_main(argv[1:])
     parser = argparse.ArgumentParser(
@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
             doc = (func.__doc__ or "").strip().splitlines()[0]
             print(f"{name:<{width}}  {doc}")
         print(f"{'sweep':<{width}}  Grid benchmark: serial vs parallel vs "
-              "warm-cache (see 'sweep --help')")
+              "warm memo (see 'sweep --help')")
         return 0
 
     names = list(table) if args.experiments == ["all"] else args.experiments

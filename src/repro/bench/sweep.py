@@ -1,34 +1,31 @@
 """``python -m repro.bench sweep`` — the grid benchmark.
 
 Runs one declarative :class:`~repro.parallel.SweepSpec` three ways —
-serial cold, parallel cold (``--workers N``), and warm from a
-content-addressed cache — asserts all three produce bit-identical
-results, and reports the wall-clocks. The bit-identity check is a
-correctness contract (a divergence exits 1); the wall-clocks are one
-unrepeated sample each, informational only.
+serial cold, parallel cold (``--workers N``), and serial again under
+the simulation memo the serial pass filled — asserts all three produce
+bit-identical results, and reports the wall-clocks. The bit-identity
+check is a correctness contract (a divergence exits 1); the
+wall-clocks are one unrepeated sample each, informational only.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import pathlib
 import sys
 import time
 
-from repro.parallel import (
-    ContentCache, SweepSpec, fingerprint, run_sweep, sim_cache)
+from repro.parallel import SimCache, SweepSpec, fingerprint, run_sweep, sim_cache
 from repro.trace import Workload
 
 
-def smoke_grid(volume: int | None = None) -> SweepSpec:
+def smoke_grid() -> SweepSpec:
     """Small CI grid: 3 libraries × 4 workloads.
 
     Sized so the serial pass stays in single-digit seconds while the
     cells are heavy enough for the pool to beat process start-up cost.
     """
-    vol = volume if volume is not None else 1 << 20
+    vol = 1 << 20
     return SweepSpec(
         workloads=[
             Workload(k=4, m=2, block_bytes=1024, data_bytes_per_thread=vol),
@@ -40,51 +37,31 @@ def smoke_grid(volume: int | None = None) -> SweepSpec:
     )
 
 
-def full_grid(volume: int | None = None) -> SweepSpec:
-    """The paper's §5.1 comparison set over the figure geometries."""
-    vol = volume if volume is not None else 1 << 20
-    return SweepSpec(
-        workloads=[
-            Workload(k=k, m=m, block_bytes=bb, data_bytes_per_thread=vol)
-            for k, m in ((4, 2), (6, 3), (8, 4), (10, 4), (12, 4))
-            for bb in (1024, 4096)
-        ],
-    )
-
-
-GRIDS = {"smoke": smoke_grid, "full": full_grid}
+def _timed_sweep(spec: SweepSpec, workers: int, memo: SimCache):
+    """One sweep under ``memo``; returns ``(result, seconds)``."""
+    with sim_cache(memo):
+        t0 = time.perf_counter()
+        result = run_sweep(spec, workers=workers)
+        return result, time.perf_counter() - t0
 
 
 def benchmark_sweep(spec: SweepSpec, workers: int = 2) -> dict:
     """Serial-cold / parallel-cold / warm comparison over one grid.
 
     Returns a JSON-able report: the three wall-clocks, the speedups,
-    the bit-identity verdicts, and a content fingerprint of the result
-    payload.
+    the bit-identity verdicts, the warm pass's memo hits and misses,
+    and a content fingerprint of the result payload.
 
-    All three passes run with the simulation memo off, so both cold
-    passes simulate every cell: pool workers fork with the parent's
-    memo, which would otherwise already hold the serial pass's runs.
+    Each cold pass runs under a fresh :class:`SimCache`, so it reuses
+    no earlier pass's simulations (pool workers fork with an empty
+    memo); the warm pass re-runs the sweep serially under the serial
+    pass's memo. The process-wide memo is neither read nor written.
     """
-    cache = ContentCache()
-
-    with sim_cache(None):
-        t0 = time.perf_counter()
-        serial = run_sweep(spec, workers=1)
-        serial_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        parallel = run_sweep(spec, workers=workers, cache=cache)
-        parallel_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        warm = run_sweep(spec, workers=1, cache=cache)
-        warm_s = time.perf_counter() - t0
-
-    identical = serial == parallel
-    warm_identical = serial == warm
-    all_cached = all(r.cached for r in warm.results)
-    payload_digest = fingerprint(serial.to_dict())
+    memo = SimCache()
+    serial, serial_s = _timed_sweep(spec, 1, memo)
+    parallel, parallel_s = _timed_sweep(spec, workers, SimCache())
+    hits, misses = memo.hits, memo.misses
+    warm, warm_s = _timed_sweep(spec, 1, memo)
 
     return {
         "grid": {
@@ -94,8 +71,7 @@ def benchmark_sweep(spec: SweepSpec, workers: int = 2) -> dict:
         },
         "workers": workers,
         # Pool speedup is bounded by the machine: on a 1-CPU container
-        # the parallel pass is pure overhead and the warm-cache pass
-        # carries the end-to-end win.
+        # the parallel pass is pure overhead.
         "cpus": os.cpu_count(),
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
@@ -103,12 +79,11 @@ def benchmark_sweep(spec: SweepSpec, workers: int = 2) -> dict:
         "speedup_parallel": round(serial_s / parallel_s, 2)
         if parallel_s else None,
         "speedup_warm": round(serial_s / warm_s, 2) if warm_s else None,
-        "identical_serial_parallel": identical,
-        "identical_serial_warm": warm_identical,
-        "warm_all_cached": all_cached,
-        "cache": warm.cache_stats,
-        "result_digest": payload_digest,
-        "results": serial.to_dict(),
+        "identical_serial_parallel": serial == parallel,
+        "identical_serial_warm": serial == warm,
+        "warm_hits": memo.hits - hits,
+        "warm_misses": memo.misses - misses,
+        "result_digest": fingerprint(serial.to_dict()),
     }
 
 
@@ -124,8 +99,9 @@ def render_report(report: dict) -> str:
         f"{report['speedup_parallel']}x"
         + (", informational: single CPU)" if (report["cpus"] or 0) < 2
            else ")"),
-        f"  warm cache      {report['warm_s']:8.3f} s   "
-        f"({report['speedup_warm']}x)",
+        f"  warm memo       {report['warm_s']:8.3f} s   "
+        f"({report['speedup_warm']}x, {report['warm_hits']} hits, "
+        f"{report['warm_misses']} misses)",
         f"  serial == parallel: "
         f"{'PASS' if report['identical_serial_parallel'] else 'FAIL'}",
         f"  serial == warm:     "
@@ -139,27 +115,14 @@ def main(argv: list[str] | None = None) -> int:
     """``python -m repro.bench sweep`` entry point."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench sweep",
-        description="Run a benchmark grid serial / parallel / warm-cache "
+        description="Run the smoke grid serial / parallel / warm memo "
                     "and verify bit-identical results.")
-    parser.add_argument("--grid", choices=sorted(GRIDS), default="smoke",
-                        help="which predefined grid to run")
     parser.add_argument("--workers", type=int, default=2,
                         help="process-pool size for the parallel pass")
-    parser.add_argument("--volume", type=int, default=None,
-                        help="override per-point simulated volume (bytes)")
-    parser.add_argument("--json", type=pathlib.Path, default=None,
-                        help="write the full report (incl. per-cell "
-                             "results) to this path")
     args = parser.parse_args(argv)
 
-    spec = GRIDS[args.grid](args.volume)
-    report = benchmark_sweep(spec, workers=args.workers)
+    report = benchmark_sweep(smoke_grid(), workers=args.workers)
     print(render_report(report))
-
-    if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"  report -> {args.json}")
 
     ok = (report["identical_serial_parallel"]
           and report["identical_serial_warm"])

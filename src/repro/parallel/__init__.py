@@ -1,26 +1,26 @@
-"""Parallel sweep execution and content-addressed caching.
+"""Parallel sweep execution and content-addressed memoization.
 
 The ROADMAP's "fast as the hardware allows" goal applied to the repro
 itself: a libraries × workloads grid fans out over a process pool
 with results reassembled deterministically (:func:`run_sweep`; traced
-sweeps run in-process), and pure (configuration → trace → simulation)
-work memoizes in memory under sha256 content fingerprints
-(:class:`ContentCache`).
+sweeps run in-process), and :func:`repro.simulate` memoizes in memory
+under sha256 content fingerprints (:class:`SimCache`).
 
 Quickstart::
 
-    from repro.parallel import SweepSpec, run_sweep, ContentCache
+    from repro.parallel import SimCache, SweepSpec, run_sweep, sim_cache
     spec = SweepSpec(workloads=[Workload.rs(8, 4)], libraries=("ISA-L", "DIALGA"))
-    cold = run_sweep(spec, workers=4, cache=(cache := ContentCache()))
-    warm = run_sweep(spec, workers=1, cache=cache)
-    assert cold == warm  # bit-identical, near-free
+    with sim_cache(SimCache()) as memo:
+        cold = run_sweep(spec)
+        misses = memo.misses
+        warm = run_sweep(spec)  # served from the memo
+    assert cold == warm and memo.misses == misses
 
 See ``docs/performance.md`` for the determinism guarantees and the
-cache.
+memo.
 """
 
 from repro.parallel.cache import (
-    ContentCache,
     SimCache,
     canonical,
     fingerprint,
@@ -48,7 +48,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "ContentCache",
     "SimCache",
     "canonical",
     "fingerprint",

@@ -10,17 +10,14 @@ knob, a block size, a DIALGA threshold — produces a different key and
 never a stale hit. The store lives in one process, so no entry
 outlives the code that made it.
 
-Two layers use this module:
-
-* :func:`repro.simulate` — a bounded :class:`SimCache`, installed in
-  the ``_SIM_CACHE`` seam of :mod:`repro.simulator.multicore` when this
-  module is imported (which importing :mod:`repro.simulator` does),
-  serves repeated (trace, hardware) simulations from memory;
-  :func:`sim_cache` swaps it for the scope of a ``with`` (counterfactual
-  replay, :mod:`repro.obs.replay`, uses a fresh one; timed code none);
-* :func:`repro.parallel.run_sweep` — whole sweep cells
-  (library × workload × hardware × policy) memoize their results;
-  ``python -m repro.bench sweep`` times a warm pass.
+:func:`repro.simulate` is served by a bounded :class:`SimCache`,
+installed in the ``_SIM_CACHE`` seam of :mod:`repro.simulator.multicore`
+when this module is imported (which importing :mod:`repro.simulator`
+does); it serves repeated (trace, hardware) simulations from memory,
+a re-run sweep's included. :func:`sim_cache` swaps it for the scope of
+a ``with`` (counterfactual replay, :mod:`repro.obs.replay`, and
+``python -m repro.bench sweep`` use memos of their own; timed code
+none).
 
 :func:`sim_key` hashes a run's exact trace content. The simulation
 memo keys on :func:`rebased` traces instead: every LOAD/SWPF address
@@ -46,7 +43,7 @@ by ``erasures`` blocks (each block starts on its own page,
 the encode's entry.
 
 Values are stored *pickled*, in memory. Storing bytes rather than
-live objects means every :meth:`ContentCache.get` returns a fresh
+live objects means every :meth:`SimCache.get` returns a fresh
 object — callers may mutate results (merge counters, attach metadata)
 without corrupting the cache.
 """
@@ -179,11 +176,20 @@ def rebased(traces, hw) -> list[Trace]:
     return out
 
 
-# -- the store -----------------------------------------------------------
+# -- the simulate() memo ------------------------------------------------
+
+#: Entries a :class:`SimCache` holds; past it the oldest is dropped.
+#: The 24 figure and ablation ids, run in one process, leave 1,160
+#: entries (about 1.0 MB pickled), so every repeat in them is served.
+SIM_MEMO_SIZE = 2048
 
 
-class ContentCache:
-    """Content-addressed pickle store, in memory."""
+class SimCache:
+    """Bounded (traces, hardware) -> :class:`SimResult` memo behind
+    :func:`repro.simulate`'s ``_SIM_CACHE`` seam (in
+    :mod:`repro.simulator.multicore`), keyed on the :func:`rebased`
+    traces. A pickle store in memory: holds at most
+    :data:`SIM_MEMO_SIZE` entries, evicting the oldest first."""
 
     def __init__(self):
         self._mem: dict[str, bytes] = {}
@@ -203,35 +209,15 @@ class ContentCache:
         return pickle.loads(blob)
 
     def put(self, key: str, value) -> None:
-        """Store ``value`` under ``key`` (overwrites)."""
+        """Store ``value`` under ``key``, dropping the oldest entry if full."""
+        if key not in self._mem and len(self._mem) >= SIM_MEMO_SIZE:
+            del self._mem[next(iter(self._mem))]
         self._mem[key] = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
     def stats(self) -> dict:
         """Hit/miss counts plus resident entry count."""
         return {"hits": self.hits, "misses": self.misses,
                 "entries": len(self._mem)}
-
-
-# -- the simulate() memo ------------------------------------------------
-
-#: Entries a :class:`SimCache` holds; past it the oldest is dropped.
-#: The 24 figure and ablation ids, run in one process, leave 1,160
-#: entries (about 1.0 MB pickled), so every repeat in them is served.
-SIM_MEMO_SIZE = 2048
-
-
-class SimCache(ContentCache):
-    """Bounded (traces, hardware) -> :class:`SimResult` memo behind
-    :func:`repro.simulate`'s ``_SIM_CACHE`` seam (in
-    :mod:`repro.simulator.multicore`), keyed on the :func:`rebased`
-    traces. Holds at most :data:`SIM_MEMO_SIZE` entries, evicting the
-    oldest first."""
-
-    def put(self, key: str, value) -> None:
-        """Store ``value`` under ``key``, dropping the oldest entry if full."""
-        if key not in self._mem and len(self._mem) >= SIM_MEMO_SIZE:
-            del self._mem[next(iter(self._mem))]
-        super().put(key, value)
 
     def simulate(self, traces, hw, fastforward: bool = False):
         """A cacheable :func:`repro.simulate` run: served from memory if

@@ -11,9 +11,9 @@ the aggregate :class:`Counters` fold — is byte-identical to a serial
 run regardless of worker count or completion order. The determinism
 suite pins this property.
 
-With a :class:`~repro.parallel.cache.ContentCache`, finished cells are
-memoized under a sha256 fingerprint of (library, workload); a warm
-sweep re-runs nothing and changes nothing.
+A re-run sweep is served by :func:`repro.simulate`'s memo
+(:class:`~repro.parallel.cache.SimCache`): its cells rebuild their
+libraries and traces, but simulate nothing they simulated before.
 
 While an :mod:`repro.obs` tracer is recording, the sweep runs
 in-process whatever ``workers`` says, so spans land on the ambient
@@ -22,13 +22,11 @@ tracer in cell order and the trace is deterministic too.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.dialga import DialgaEncoder
 from repro.libs import ISAL, Cerasure, ISALDecompose, UnsupportedWorkload, Zerasure
 from repro.obs import get_tracer
-from repro.parallel.cache import ContentCache, fingerprint
 from repro.simulator.counters import Counters
 from repro.trace import Workload
 
@@ -54,16 +52,12 @@ class SweepCell:
     """One grid point: everything needed to rebuild and run it.
 
     The library is named, not instantiated — cells travel to worker
-    processes and into cache fingerprints, so they carry constructor
-    inputs rather than live objects.
+    processes, so they carry constructor inputs rather than live
+    objects.
     """
 
     library: str
     workload: Workload
-
-    def key(self) -> str:
-        """Content-addressed cache key for this cell's result."""
-        return f"cell:{fingerprint(self)}"
 
 
 @dataclass
@@ -79,8 +73,6 @@ class CellResult:
     data_bytes: int = 0
     counters: Counters | None = None
     error: str | None = None
-    #: Served from cache (bookkeeping; not part of result identity).
-    cached: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -124,15 +116,11 @@ class SweepResult:
     Equality covers the *results* — two sweeps over the same spec
     compare equal iff every cell number and every merged counter is
     identical, which is how the determinism suite asserts serial ≡
-    parallel ≡ warm-cache. Wall-clock and scheduling metadata never
-    participate.
+    parallel ≡ warm memo.
     """
 
     results: list[CellResult]
     counters: Counters
-    workers: int = field(default=1, compare=False)
-    wall_s: float = field(default=0.0, compare=False)
-    cache_stats: dict | None = field(default=None, compare=False)
 
     def __getitem__(self, i: int) -> CellResult:
         return self.results[i]
@@ -220,8 +208,7 @@ def _pool_round(todo: list[tuple[int, SweepCell]],
     return done, lost
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1,
-              cache: ContentCache | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run every cell of ``spec``; results are independent of ``workers``.
 
     Parameters
@@ -229,21 +216,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     spec:
         The grid.
     workers:
-        Process count. 1 runs in-process; N > 1 fans uncached cells
-        out over a process pool. Output is byte-identical either way:
+        Process count. 1 runs in-process; N > 1 fans cells out over a
+        process pool. Output is byte-identical either way:
         cells are reassembled in grid order before any merging. While
         a tracer is recording, every cell runs in-process, so its
         spans land on that tracer in cell order.
-    cache:
-        ``None`` — no memoization. A :class:`ContentCache` — use it;
-        pass the same one to a later sweep to reuse its cells.
-        Cached cells are not re-executed; a warm cache therefore
-        changes wall-clock only, never results. Skipped while a tracer
-        is recording (a cache hit would silently drop its spans).
 
     Cells lost to a crashed worker are resubmitted up to
     :data:`MAX_RESUBMITS` times; past that they come back as error
-    results (never cached), and the sweep itself always completes.
+    results, and the sweep itself always completes.
 
     Returns
     -------
@@ -251,28 +232,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
         Per-cell results in grid order plus the aggregate counter
         fold (folded in grid order — float-sum stable).
     """
-    t0 = time.perf_counter()
     cells = spec.cells()
-    tracing = bool(get_tracer().enabled)
-    use_cache = cache is not None and not tracing
-
     results: list[CellResult | None] = [None] * len(cells)
-    pending: list[tuple[int, SweepCell]] = []
-    for i, cell in enumerate(cells):
-        hit = cache.get(cell.key()) if use_cache else None
-        if hit is not None:
-            hit.index = i
-            hit.cached = True
-            results[i] = hit
-        else:
-            pending.append((i, cell))
-
-    lost: list[tuple[int, SweepCell]] = []
-    if tracing or workers <= 1 or len(pending) <= 1:
-        for i, cell in pending:
+    if get_tracer().enabled or workers <= 1 or len(cells) <= 1:
+        for i, cell in enumerate(cells):
             results[i] = _run_cell(i, cell)
     else:
-        lost = pending
+        lost = list(enumerate(cells))
         for _ in range(MAX_RESUBMITS + 1):
             done, lost = _pool_round(lost, workers)
             for i, result in done.items():
@@ -285,22 +251,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
                 error=(f"worker died; resubmission budget "
                        f"({MAX_RESUBMITS}) exhausted"))
 
-    if use_cache:
-        # Executor faults are transient — memoizing one would replay a
-        # dead worker forever on warm runs.
-        abandoned = {i for i, _ in lost}
-        for i, cell in pending:
-            if i not in abandoned:
-                cache.put(cell.key(), results[i])
-
     merged = Counters()
     for result in results:
         if result.counters is not None:
             merged.merge(result.counters)
-    return SweepResult(
-        results=results,
-        counters=merged,
-        workers=workers,
-        wall_s=time.perf_counter() - t0,
-        cache_stats=cache.stats() if use_cache else None,
-    )
+    return SweepResult(results=results, counters=merged)

@@ -1,8 +1,8 @@
-"""Determinism and caching guarantees of :mod:`repro.parallel`.
+"""Determinism and memoization guarantees of :mod:`repro.parallel`.
 
 The contract under test: a sweep's results are a pure function of its
-:class:`SweepSpec` — independent of worker count, cache temperature
-and scheduling — and cache keys change whenever any simulated-meaning
+:class:`SweepSpec` — independent of worker count, memo temperature
+and scheduling — and memo keys change whenever any simulated-meaning
 input changes (so a hit is never stale).
 """
 
@@ -19,7 +19,6 @@ import pytest
 
 from repro.obs import Tracer, use_tracer
 from repro.parallel import (
-    ContentCache,
     SimCache,
     SweepSpec,
     canonical,
@@ -96,16 +95,21 @@ def test_parallel_sweep_bit_identical_to_serial():
     assert serial.to_dict() == parallel.to_dict()
 
 
-def test_warm_cache_changes_nothing_and_runs_no_cell():
-    spec = small_spec()
-    cache = ContentCache()
-    cold = run_sweep(spec, workers=2, cache=cache)
-    warm = run_sweep(spec, workers=1, cache=cache)
-    assert cold == warm
-    assert cold.cache_stats["misses"] == len(spec)
-    assert not any(r.cached for r in cold.results)
-    assert all(r.cached for r in warm.results)
-    assert warm.cache_stats["hits"] == len(spec)
+def test_warm_memo_resweep_matches_memo_off_and_misses_nothing():
+    """A re-run sweep, RS decode cells included, is served whole by the
+    simulation memo its first pass filled."""
+    wls = [dataclasses.replace(WLS[0], op=op, erasures=e)
+           for op, e in (("encode", 0), ("decode", 2))]
+    spec = SweepSpec(libraries=("ISA-L", "DIALGA"), workloads=wls)
+    with sim_cache(None):
+        off = run_sweep(spec)
+    with sim_cache(SimCache()) as memo:
+        run_sweep(spec)
+        misses = memo.misses
+        warm = run_sweep(spec)
+    assert warm == off
+    assert memo.misses == misses
+    assert memo.hits > 0
 
 
 def test_unsupported_and_failing_cells_are_carried_not_raised(monkeypatch):
@@ -141,7 +145,7 @@ def test_fingerprint_invalidates_on_any_input_change():
     # Hardware sensitivity lives in sim_key (cells all run on the
     # default testbed): see test_sim_key_depends_on_hardware_and_batching.
     cell = SweepCell("ISA-L", WLS[0])
-    base = cell.key()
+    base = fingerprint(cell)
     changed = [
         dataclasses.replace(cell, library="Zerasure"),
         dataclasses.replace(cell, workload=dataclasses.replace(
@@ -149,7 +153,7 @@ def test_fingerprint_invalidates_on_any_input_change():
         dataclasses.replace(cell, workload=dataclasses.replace(
             WLS[0], op="decode", erasures=1)),
     ]
-    keys = {c.key() for c in changed}
+    keys = {fingerprint(c) for c in changed}
     assert base not in keys and len(keys) == len(changed)
 
 
@@ -182,11 +186,11 @@ def test_trace_fingerprint_tracks_content():
 # ---------------------------------------------------------- the store
 
 def test_content_cache_returns_fresh_copies():
-    cache = ContentCache()
-    cache.put("k", {"list": [1, 2]})
-    a = cache.get("k")
+    memo = SimCache()
+    memo.put("k", {"list": [1, 2]})
+    a = memo.get("k")
     a["list"].append(3)
-    assert cache.get("k") == {"list": [1, 2]}
+    assert memo.get("k") == {"list": [1, 2]}
 
 
 # ------------------------------------------------ the simulate() seam
@@ -227,9 +231,11 @@ def test_sim_memo_is_bounded_and_drops_its_oldest_entry_first():
 
 def test_timed_paths_never_read_the_memo(monkeypatch):
     """The fast-forward scenario's interp/ff pair and the three passes
-    of the sweep benchmark are timed: with a memo already holding all
-    their simulations, they still make no memo hit, and every sweep
-    pass (the pool forks inside it) runs with the memo off."""
+    of the sweep benchmark are timed: with the ambient memo already
+    holding all their simulations, they make no hit in it and add
+    nothing to it. Each cold sweep pass (the pool forks inside the
+    parallel one) starts on an empty memo of its own; the warm pass
+    runs on the serial pass's."""
     from repro.bench import sweep as bench_sweep
     from repro.bench.fastforward_scenario import _encode_trace, _row
     from repro.bench.report import FigureResult
@@ -248,7 +254,8 @@ def test_timed_paths_never_read_the_memo(monkeypatch):
     seen = []
 
     def spy(*args, **kwargs):
-        seen.append(multicore._SIM_CACHE)
+        active = multicore._SIM_CACHE
+        seen.append((active, len(active)))
         return run_sweep(*args, **kwargs)
 
     monkeypatch.setattr(bench_sweep, "run_sweep", spy)
@@ -258,7 +265,13 @@ def test_timed_paths_never_read_the_memo(monkeypatch):
         assert _row(fig, "row", trace, hw)["identical"]
         report = bench_sweep.benchmark_sweep(spec, workers=2)
     assert report["identical_serial_parallel"]
-    assert seen == [None, None, None]
+    assert report["identical_serial_warm"]
+    (serial, n_serial), (parallel, n_parallel), (warm, n_warm) = seen
+    assert all(isinstance(m, SimCache) and m is not memo
+               for m in (serial, parallel))
+    assert serial is not parallel and n_serial == n_parallel == 0
+    assert warm is serial and n_warm > 0
+    assert report["warm_misses"] == 0 and report["warm_hits"] > 0
     assert memo.hits == hits and len(memo) == filled
 
 
@@ -295,12 +308,12 @@ def test_sim_key_hardware_memo_keeps_key_bytes_and_is_bounded():
 
 
 _PRINT_KEYS = """
-from repro.parallel import sim_key
+from repro.parallel import fingerprint, sim_key
 from repro.parallel.sweep import SweepCell
 from repro.simulator import HardwareConfig
 from repro.trace import Workload
 hw = HardwareConfig()
-print(sim_key([], hw), SweepCell("ISA-L", Workload(k=4, m=2)).key())
+print(sim_key([], hw), fingerprint(SweepCell("ISA-L", Workload(k=4, m=2))))
 """
 
 
@@ -340,14 +353,17 @@ def test_traced_parallel_sweep_absorbs_worker_spans_deterministically():
 
 
 def test_cache_is_skipped_while_tracing():
+    """A traced re-sweep under a warm memo simulates every run, so its
+    spans are all recorded, and leaves the memo's counts alone."""
     spec = small_spec(workloads=WLS[:1])
-    cache = ContentCache()
-    run_sweep(spec, cache=cache)
-    with use_tracer(Tracer("t")) as tr:
-        result = run_sweep(spec, cache=cache)
-    assert not any(r.cached for r in result.results)
-    assert result.cache_stats is None
-    assert tr.spans  # the re-run actually recorded
+    with sim_cache(SimCache()) as memo:
+        cold = run_sweep(spec)
+        counts = memo.hits, memo.misses
+        with use_tracer(Tracer("t")) as tr:
+            traced = run_sweep(spec)
+    assert traced == cold
+    assert (memo.hits, memo.misses) == counts
+    assert any(s.name == "sim.run" for s in tr.spans)
 
 
 def test_cell_results_pickle_for_the_pool():
@@ -444,19 +460,3 @@ def test_pool_broken_mid_submission_loses_only_unsent_cells(monkeypatch):
     done, lost = sweep._pool_round(todo, workers=2)
     assert list(done) == [0] and done[0].error is None
     assert lost == todo[1:]
-
-
-def test_executor_fault_errors_never_poison_the_cache(monkeypatch):
-    assert multiprocessing.get_start_method() == "fork"
-    spec = small_spec(workloads=WLS[:1])
-    cache = ContentCache()
-    monkeypatch.setattr(sweep, "_run_cell", functools.partial(_die_on, 1))
-    faulted = run_sweep(spec, workers=2, cache=cache)
-    assert "worker died" in faulted.results[1].error
-    monkeypatch.setattr(sweep, "_run_cell", _real_run_cell)
-    # Warm run: the dead cell was never memoized, so it re-executes and
-    # now matches a fault-free sweep.
-    healed = run_sweep(spec, workers=2, cache=cache)
-    assert healed == run_sweep(spec, workers=1)
-    assert healed.results[1].error is None
-    assert not healed.results[1].cached
